@@ -7,6 +7,7 @@ minimal JSON protocol for real model servers.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import urllib.error
@@ -50,7 +51,8 @@ class GeneratorBackend(Protocol):
 
     `sample` returns between 1 and k non-empty strings; `conclude` returns a
     single completion. Backends that support seeding must be deterministic for
-    a fixed seed.
+    a fixed seed. `conclude` must be deterministic per prompt; MCTS reuses its
+    first result for a node.
     """
 
     def sample(self, prompt: str, k: int, temperature: float) -> list[str]: ...
@@ -81,8 +83,9 @@ class PromptTemplate:
         return _PLACEHOLDER.sub(substitute, self.body)
 
 
+@functools.cache
 def load_template(template_id: str) -> PromptTemplate:
-    """Load a packaged prompt asset by id (e.g. 'rationale', 'query')."""
+    """Load a packaged prompt asset by id (e.g. 'rationale', 'query'), once."""
     body = (
         resources.files("criticplan.prompts").joinpath(f"{template_id}.txt").read_text()
     )

@@ -8,7 +8,10 @@ Each iteration runs the four classic phases:
                       sample their execution candidates once, on first
                       expansion; decision nodes enumerate the legal markers.
     Simulation:       conclude a final answer from the new node's state and
-                      score it against the gold label.
+                      score it against the gold label, once per node: a node
+                      selected again (terminal or dead end) reuses its stored
+                      reward, which is sound because `conclude` is
+                      deterministic per prompt and the oracle is pure.
     Backpropagation:  add the reward and a visit to every node on the path.
 
 The finished tree is mined for preference pairs: within every sibling group,
@@ -104,7 +107,7 @@ class TreeNode:
 
     __slots__ = (
         "state", "observation", "incoming_action", "parent", "children",
-        "v", "n", "sim_count", "pending", "dead",
+        "v", "n", "sim_count", "reward", "pending", "dead",
     )
 
     def __init__(
@@ -122,6 +125,8 @@ class TreeNode:
         self.v = 0.0
         self.n = 0
         self.sim_count = 0
+        # Simulated reward, computed on the first simulation and reused after.
+        self.reward: float | None = None
         # Unmaterialized child (action, observation) specs; None = not yet
         # computed (sub-goal nodes sample candidates lazily, once).
         self.pending: deque[tuple[Action, Observation]] | None = None
@@ -276,9 +281,11 @@ def _simulate(
     generator: GeneratorBackend,
     oracle: RewardOracle,
 ) -> float:
-    answer = generation.conclude(node.state, generator)
+    if node.reward is None:
+        answer = generation.conclude(node.state, generator)
+        node.reward = oracle.evaluate(problem, answer)
     node.sim_count += 1
-    return oracle.evaluate(problem, answer)
+    return node.reward
 
 
 def _backpropagate(node: TreeNode, reward_value: float) -> None:

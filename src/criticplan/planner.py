@@ -28,7 +28,6 @@ from .generation import GeneratorBackend, SamplingConfig
 from .mdp import (
     AnswerDetector,
     ChooseCandidate,
-    ChooseSubGoal,
     Observation,
     ObservationKind,
     ProblemInstance,
@@ -117,10 +116,6 @@ class _Loop:
     # the ranking variant stops there and runs the final retrieval itself.
     final_retrieve: State | None = None
 
-    def score_subgoals(self, state: State, masked: set[SubGoal]) -> list[tuple[ChooseSubGoal, float]]:
-        actions = [a for a in subgoal_actions(state) if a.target not in masked]
-        return [(a, reward(state, a, self.critics)) for a in actions]
-
     def pick_best(self, scored):
         best_index = 0
         for i in range(1, len(scored)):
@@ -194,11 +189,13 @@ class _Loop:
         """Run one sub-goal + execution round and return the new state.
 
         Sub-goals whose candidate set comes back empty are masked at this
-        decision and selection re-runs; all-masked is a planning failure.
+        decision and selection re-runs over the remaining scores (each
+        sub-goal is scored once per decision); all-masked is a planning failure.
         """
+        all_scored = [(a, reward(state, a, self.critics)) for a in subgoal_actions(state)]
         masked: set[SubGoal] = set()
         while True:
-            scored = self.score_subgoals(state, masked)
+            scored = [(a, s) for a, s in all_scored if a.target not in masked]
             if not scored:
                 raise PlanningFailureError(
                     f"every sub-goal masked at step {state.step_index}"

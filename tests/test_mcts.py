@@ -8,7 +8,7 @@ from decimal import Decimal, getcontext
 import pytest
 
 from criticplan.critics import CriticKind
-from criticplan.errors import ContractViolationError, SearchRunError
+from criticplan.errors import BackendError, ContractViolationError, SearchRunError
 from criticplan.generation import SamplingConfig, ScriptedBackend, ScriptedRule
 from criticplan.mcts import (
     ExactMatchOracle,
@@ -187,6 +187,61 @@ class TestRunMcts:
         correct = toy.correct[(problem.problem_id, 1)]
         wrong = next(t for t in by_text if t != correct)
         assert by_text[correct].mean_value > by_text[wrong].mean_value
+
+
+class CountingConcludeBackend:
+    def __init__(self, inner):
+        self.inner = inner
+        self.conclude_calls = 0
+
+    def sample(self, prompt, k, temperature):
+        return self.inner.sample(prompt, k, temperature)
+
+    def conclude(self, prompt):
+        self.conclude_calls += 1
+        return self.inner.conclude(prompt)
+
+
+class FailOnRepeatBackend(CountingConcludeBackend):
+    """Answers each conclusion prompt once; asking again is a backend error."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.seen: set[str] = set()
+
+    def conclude(self, prompt):
+        if prompt in self.seen:
+            raise BackendError("conclusion prompt asked twice")
+        self.seen.add(prompt)
+        return super().conclude(prompt)
+
+
+def node_stats(root):
+    return [
+        (node.observation.text if node.observation else None, node.v, node.n, node.sim_count)
+        for node in root.walk()
+    ]
+
+
+def run_reasoning_toy(wrap):
+    toy = reasoning_toy(1, n_candidates=2)
+    backend = wrap(toy.backend)
+    cfg = MctsConfig(iterations=64, sampling=SamplingConfig(k=2), horizon=toy.horizon)
+    return run_mcts(toy.problems[0], backend, ExactMatchOracle(), cfg), backend
+
+
+class TestSimulateOncePerNode:
+    def test_one_conclude_per_simulated_node(self):
+        root, backend = run_reasoning_toy(CountingConcludeBackend)
+        simulated = [node for node in root.walk() if node.sim_count >= 1]
+        # Terminal and dead-end nodes are selected again and again.
+        assert sum(node.sim_count for node in simulated) > len(simulated)
+        assert backend.conclude_calls == len(simulated)
+
+    def test_repeats_never_reach_the_backend(self):
+        plain, _ = run_reasoning_toy(lambda inner: inner)
+        strict, _ = run_reasoning_toy(FailOnRepeatBackend)
+        assert node_stats(strict) == node_stats(plain)
 
 
 class TestSelectionEquivalence:

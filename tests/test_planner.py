@@ -171,6 +171,33 @@ class TestSolveBasics:
         assert result.trajectory.observations[0].kind is ObservationKind.REASON
         assert result.decisions[0].masked == ("querying",)
 
+    def test_each_subgoal_scored_once_per_decision(self, problem):
+        # Querying scores highest but is masked at the root; re-selection
+        # reuses the scores instead of asking the critic again.
+        class CountingSubgoalCritic:
+            def __init__(self):
+                self.calls = {}
+
+            def score(self, ctx):
+                key = (len(ctx.context_observations), ctx.candidate.kind.value)
+                self.calls[key] = self.calls.get(key, 0) + 1
+                return {"genquery": 1.0, "reason": 0.5, "retrieve": 0.1}[
+                    ctx.candidate.kind.value
+                ]
+
+        counting = CountingSubgoalCritic()
+        critics = dict(ALL_CONSTANT)
+        critics[CriticKind.SUBGOAL] = counting
+        backend = ScriptedBackend(
+            sample_rules=[ScriptedRule(match=(), candidates=("a rationale",))],
+            default_conclusion="done",
+        )
+        cfg = PlannerConfig(horizon=2, sampling=SamplingConfig(k=1), answer_detector=NEVER)
+        result = solve(problem, critics, backend, cfg)
+        assert result.decisions[0].masked == ("querying",)
+        # Retrieving is not legal at the root (no query yet), so it is never scored.
+        assert counting.calls == {(0, "genquery"): 1, (0, "reason"): 1}
+
     def test_all_subgoals_masked_is_planning_failure(self, problem):
         backend = ScriptedBackend(
             sample_rules=[ScriptedRule(match=(), candidates=())],
