@@ -40,7 +40,7 @@ from .generation import (
     sample_rationales,
 )
 from .mcts import (
-    ExactMatchOracle,
+    CheckerOracle,
     MctsConfig,
     RewardOracle,
     TreeNode,

@@ -85,32 +85,8 @@ def _generator_from_config(config: EngineConfig) -> generation.GeneratorBackend:
     raise ConfigurationError(f"unknown generator type {kind!r}")
 
 
-class _CheckerOracle:
-    """Adapts an answer checker into a {0, 1} reward oracle."""
-
-    def __init__(self, checker: evaluation.AnswerChecker):
-        self.checker = checker
-
-    def evaluate(self, problem: ProblemInstance, final_answer: str) -> float:
-        return 1.0 if self.checker.check(problem, final_answer) else 0.0
-
-
-def _oracle_from_config(config: EngineConfig) -> mcts.RewardOracle:
-    spec = config.oracle
-    kind = spec.get("type", "exact_match")
-    if kind == "exact_match":
-        return mcts.ExactMatchOracle()
-    if kind == "command":
-        return _CheckerOracle(
-            evaluation.ExternalCommandChecker(
-                command=tuple(spec["command"]), timeout=spec.get("timeout", 60.0)
-            )
-        )
-    raise ConfigurationError(f"unknown oracle type {kind!r}")
-
-
-def _checker_from_config(config: EngineConfig) -> evaluation.AnswerChecker:
-    spec = config.checker
+def _checker_from_spec(spec: dict, section: str) -> evaluation.AnswerChecker:
+    """Answer checker for the `oracle` (MCTS reward) or `checker` (eval) section."""
     kind = spec.get("type", "exact_match")
     if kind == "exact_match":
         return evaluation.NormalizedExactMatchChecker()
@@ -118,7 +94,7 @@ def _checker_from_config(config: EngineConfig) -> evaluation.AnswerChecker:
         return evaluation.ExternalCommandChecker(
             command=tuple(spec["command"]), timeout=spec.get("timeout", 60.0)
         )
-    raise ConfigurationError(f"unknown checker type {kind!r}")
+    raise ConfigurationError(f"unknown {section} type {kind!r}")
 
 
 def _critics_from_config(config: EngineConfig, mode: str | None = None):
@@ -217,7 +193,7 @@ def collect(ctx: click.Context, problems_path: str | None):
     _echo_config(config)
     problems = load_problems(problems_path or config.path("problems_file"))
     generator = _generator_from_config(config)
-    oracle = _oracle_from_config(config)
+    oracle = mcts.CheckerOracle(_checker_from_spec(config.oracle, "oracle"))
     corpus = _load_corpus(config) if "index_path" in config.paths else None
     cfg = config.mcts_config()
     detector = config.planner_config().answer_detector
@@ -418,7 +394,8 @@ def eval_cmd(ctx: click.Context, results_path: str | None, judgments_path: str |
     ranking_mean = None
     per_problem = None
     if answer_rows:
-        answer_report = evaluation.accuracy(answer_rows, _checker_from_config(config))
+        checker = _checker_from_spec(config.checker, "checker")
+        answer_report = evaluation.accuracy(answer_rows, checker)
         click.echo(f"accuracy: {answer_report.accuracy:.6f}")
     if ranking_rows:
         source = judgments_path or config.paths.get("judgments_file")

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import urllib.error
-import urllib.request
 import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -30,6 +28,7 @@ from .errors import (
     PairFormatError,
     TrainingError,
 )
+from .generation import post_json
 from .mdp import (
     Action,
     ChooseCandidate,
@@ -75,13 +74,6 @@ class CriticBackend(Protocol):
     def score(self, ctx: CriticContext) -> float: ...
 
 
-def _nearest_preceding(state: State, kind: ObservationKind) -> Observation | None:
-    for obs in reversed(state.observations):
-        if obs.kind is kind:
-            return obs
-    return None
-
-
 def build_context(state: State, kind: CriticKind, candidate: Observation) -> CriticContext:
     """Assemble the per-kind critic context.
 
@@ -94,13 +86,13 @@ def build_context(state: State, kind: CriticKind, candidate: Observation) -> Cri
             obs for obs in state.observations if obs.kind is ObservationKind.RATIONALE
         )
     elif kind is CriticKind.QUERY:
-        rationale = _nearest_preceding(state, ObservationKind.RATIONALE)
+        rationale = state.latest(ObservationKind.RATIONALE)
         if rationale is None:
             raise MissingRationaleError("query critic context needs a preceding rationale")
         context = (rationale,)
     elif kind is CriticKind.DOC:
-        rationale = _nearest_preceding(state, ObservationKind.RATIONALE)
-        query = _nearest_preceding(state, ObservationKind.QUERY)
+        rationale = state.latest(ObservationKind.RATIONALE)
+        query = state.latest(ObservationKind.QUERY)
         if rationale is None or query is None:
             raise ContractViolationError(
                 "doc critic context needs a preceding rationale and query"
@@ -118,26 +110,32 @@ def build_context(state: State, kind: CriticKind, candidate: Observation) -> Cri
     )
 
 
+def critic_kind_for(state: State) -> CriticKind:
+    """Critic kind that judges the actions available at `state`.
+
+    States pending an execution take the matching execution critic; everything
+    else (root or execution states) takes the sub-goal critic.
+    """
+    return _KIND_FOR_PENDING.get(state.pending_subgoal(), CriticKind.SUBGOAL)
+
+
 def reward(
     state: State, action: Action, critics: Mapping[CriticKind, CriticBackend]
 ) -> float:
     """Expected-reward estimate for taking `action` at `state`.
 
-    States pending an execution dispatch to the matching execution critic;
-    everything else (root or execution states) is judged by the sub-goal
-    critic on the proposed marker.
+    Candidates are judged by the critic of `critic_kind_for(state)`; sub-goal
+    choices by the sub-goal critic on the proposed marker.
     """
-    pending = state.pending_subgoal()
-    if pending is not None:
-        if not isinstance(action, ChooseCandidate):
-            raise ContractViolationError("sub-goal states take candidate actions")
-        kind = _KIND_FOR_PENDING[pending]
-        candidate = action.candidate
-    else:
+    kind = critic_kind_for(state)
+    if kind is CriticKind.SUBGOAL:
         if not isinstance(action, ChooseSubGoal):
             raise ContractViolationError("decision points take sub-goal actions")
-        kind = CriticKind.SUBGOAL
         candidate = subgoal_observation(action)
+    else:
+        if not isinstance(action, ChooseCandidate):
+            raise ContractViolationError("sub-goal states take candidate actions")
+        candidate = action.candidate
     backend = critics.get(kind)
     if backend is None:
         raise ConfigurationError(f"no critic configured for kind {kind.value!r}")
@@ -282,16 +280,11 @@ class HttpCritic:
             "context": [_observation_payload(o) for o in ctx.context_observations],
             "candidate": _observation_payload(ctx.candidate),
         }
-        body = json.dumps(payload).encode("utf-8")
-        request = urllib.request.Request(
-            self.base_url, data=body, headers={"Content-Type": "application/json"}
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                data = json.loads(response.read().decode("utf-8"))
-            return float(data["score"])
-        except (urllib.error.URLError, TimeoutError, ValueError, KeyError) as err:
-            raise BackendError(f"critic endpoint failed: {err}") from err
+        data = post_json(self.base_url, payload, self.timeout, 1, "critic")
+        score = data.get("score")
+        if isinstance(score, bool) or not isinstance(score, (int, float)):
+            raise BackendError(f"critic endpoint replied with non-numeric score {score!r}")
+        return float(score)
 
 
 # ------------------------------------------------------------ preference pairs

@@ -8,18 +8,21 @@ minimal JSON protocol for real model servers.
 from __future__ import annotations
 
 import functools
+import http.client
 import json
 import re
-import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Protocol, Sequence
 
+from . import retrieval
 from .errors import (
     BackendError,
+    ConfigurationError,
     ContractViolationError,
     EmptyCandidatesError,
+    EmptyQueryError,
     MissingRationaleError,
 )
 from .mdp import Observation, ObservationKind, State
@@ -113,17 +116,10 @@ def render_rationale_prompt(state: State, template: PromptTemplate | None = None
     )
 
 
-def _last_rationale(state: State) -> Observation | None:
-    for obs in reversed(state.observations):
-        if obs.kind is ObservationKind.RATIONALE:
-            return obs
-    return None
-
-
 def render_query_prompt(state: State, template: PromptTemplate | None = None) -> str:
     """Query-generation prompt built from the immediately preceding rationale."""
     template = template or load_template("query")
-    rationale = _last_rationale(state)
+    rationale = state.latest(ObservationKind.RATIONALE)
     if rationale is None:
         raise MissingRationaleError("query generation requires a preceding rationale")
     return template.render(last_rationale=rationale.text)
@@ -149,11 +145,12 @@ def _strip_delimiters(text: str, begin: str, end: str) -> str:
     return stripped.strip()
 
 
-def _call_with_retries(backend: GeneratorBackend, prompt: str, k: int, temperature: float) -> list[str]:
+def _with_retries(call, *args):
+    """`call(*args)`, tried up to BACKEND_ATTEMPTS times while it raises BackendError."""
     last_error: BackendError | None = None
     for _ in range(BACKEND_ATTEMPTS):
         try:
-            return backend.sample(prompt, k, temperature)
+            return call(*args)
         except BackendError as err:
             last_error = err
     raise last_error
@@ -179,7 +176,7 @@ def _sample_observations(
     kind: ObservationKind,
 ) -> list[Observation]:
     prompt = render(state)
-    raw = _call_with_retries(backend, prompt, cfg.k, cfg.temperature)
+    raw = _with_retries(backend.sample, prompt, cfg.k, cfg.temperature)
     texts = _dedup([_strip_delimiters(t, begin, end) for t in raw])
     if not texts:
         raise EmptyCandidatesError(f"no usable {kind.value} candidates after stripping")
@@ -204,7 +201,7 @@ def sample_queries(
     """Sample candidate search queries for a pending GenQuery sub-goal."""
     if state.pending_subgoal() is not ObservationKind.GENQUERY:
         raise ContractViolationError("state must end in a GenQuery sub-goal observation")
-    if _last_rationale(state) is None:
+    if state.latest(ObservationKind.RATIONALE) is None:
         raise MissingRationaleError("query generation requires a preceding rationale")
     return _sample_observations(
         state, backend, cfg, render_query_prompt, QUERY_BEGIN, QUERY_END,
@@ -212,16 +209,36 @@ def sample_queries(
     )
 
 
+def candidates_for(
+    state: State,
+    backend: GeneratorBackend,
+    corpus: retrieval.Corpus | None,
+    cfg: SamplingConfig,
+) -> list[Observation]:
+    """Execution candidates for the state's pending sub-goal.
+
+    Reason samples rationales, GenQuery samples queries, and Retrieve runs the
+    latest query against `corpus`. A sub-goal with nothing to execute (no
+    usable sample, no preceding rationale, a query without terms) yields [].
+    """
+    pending = state.pending_subgoal()
+    if pending is None:
+        raise ContractViolationError("candidates require a pending sub-goal")
+    try:
+        if pending is ObservationKind.REASON:
+            return sample_rationales(state, backend, cfg)
+        if pending is ObservationKind.GENQUERY:
+            return sample_queries(state, backend, cfg)
+        if corpus is None:
+            raise ConfigurationError("retrieval reachable but no corpus configured")
+        return retrieval.retrieve(corpus, state.latest(ObservationKind.QUERY).text, cfg.k)
+    except (EmptyCandidatesError, MissingRationaleError, EmptyQueryError):
+        return []
+
+
 def conclude(state: State, backend: GeneratorBackend) -> str:
     """Generate a final answer from the observations collected so far."""
-    prompt = render_conclusion_prompt(state)
-    last_error: BackendError | None = None
-    for _ in range(BACKEND_ATTEMPTS):
-        try:
-            return backend.conclude(prompt)
-        except BackendError as err:
-            last_error = err
-    raise last_error
+    return _with_retries(backend.conclude, render_conclusion_prompt(state))
 
 
 # --------------------------------------------------------------------- backends
@@ -307,6 +324,31 @@ def write_scripted_backend(
         fh.write("\n")
 
 
+def post_json(url: str, payload: dict, timeout: float, attempts: int, what: str) -> dict:
+    """POST `payload` as JSON and return the reply's JSON object.
+
+    Transport failures (error status, timeout, truncated body) and undecodable
+    replies are tried up to `attempts` times in all; they, and a reply that is
+    not a JSON object, surface as a `BackendError` naming the `what` endpoint.
+    """
+    body = json.dumps(payload).encode("utf-8")
+    request = urllib.request.Request(url, data=body, headers={"Content-Type": "application/json"})
+    last_error: Exception | None = None
+    for _ in range(attempts):
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as response:
+                data = json.loads(response.read().decode("utf-8"))
+        except (OSError, http.client.HTTPException, ValueError) as err:
+            last_error = err
+            continue
+        if not isinstance(data, dict):
+            raise BackendError(
+                f"{what} endpoint replied with a JSON {type(data).__name__}, not an object"
+            )
+        return data
+    raise BackendError(f"{what} endpoint failed: {last_error}") from last_error
+
+
 @dataclass(frozen=True)
 class HttpGeneratorBackend:
     """Remote generator speaking the minimal JSON protocol.
@@ -321,25 +363,11 @@ class HttpGeneratorBackend:
     retries: int = 2
     seed: int | None = None
 
-    def _post(self, payload: dict) -> dict:
-        body = json.dumps(payload).encode("utf-8")
-        request = urllib.request.Request(
-            self.base_url, data=body, headers={"Content-Type": "application/json"}
-        )
-        last_error: Exception | None = None
-        for _ in range(self.retries + 1):
-            try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    return json.loads(response.read().decode("utf-8"))
-            except (urllib.error.URLError, TimeoutError, ValueError) as err:
-                last_error = err
-        raise BackendError(f"generator endpoint failed: {last_error}") from last_error
-
     def sample(self, prompt: str, k: int, temperature: float) -> list[str]:
         payload = {"prompt": prompt, "k": k, "temperature": temperature}
         if self.seed is not None:
             payload["seed"] = self.seed
-        data = self._post(payload)
+        data = post_json(self.base_url, payload, self.timeout, self.retries + 1, "generator")
         candidates = data.get("candidates")
         if not isinstance(candidates, list):
             raise BackendError("generator response missing 'candidates' list")

@@ -30,16 +30,9 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 from . import generation, retrieval
-from .critics import CriticKind, PreferencePair, build_context
-from .errors import (
-    BackendError,
-    ConfigurationError,
-    ContractViolationError,
-    EmptyCandidatesError,
-    EmptyQueryError,
-    MissingRationaleError,
-    SearchRunError,
-)
+from .critics import CriticKind, PreferencePair, build_context, critic_kind_for
+from .errors import BackendError, ContractViolationError, SearchRunError
+from .evaluation import AnswerChecker, NormalizedExactMatchChecker
 from .generation import GeneratorBackend, SamplingConfig
 from .mdp import (
     Action,
@@ -47,7 +40,6 @@ from .mdp import (
     ChooseCandidate,
     NEVER_DETECT,
     Observation,
-    ObservationKind,
     ProblemInstance,
     State,
     apply,
@@ -91,15 +83,13 @@ class RewardOracle(Protocol):
 
 
 @dataclass(frozen=True)
-class ExactMatchOracle:
-    """1.0 when the normalized answer equals the normalized gold label, else 0.0."""
+class CheckerOracle:
+    """1.0 when the answer checker accepts the answer, else 0.0."""
+
+    checker: AnswerChecker = NormalizedExactMatchChecker()
 
     def evaluate(self, problem: ProblemInstance, final_answer: str) -> float:
-        return 1.0 if _normalize(final_answer) == _normalize(problem.gold_label) else 0.0
-
-
-def _normalize(text: str) -> str:
-    return " ".join(text.split()).casefold()
+        return 1.0 if self.checker.check(problem, final_answer) else 0.0
 
 
 class TreeNode:
@@ -177,28 +167,14 @@ def select_path(root: TreeNode, c: float, detector: AnswerDetector = NEVER_DETEC
 
 
 def _child_specs(
-    node: TreeNode,
+    state: State,
     generator: GeneratorBackend,
     corpus: retrieval.Corpus | None,
     sampling: SamplingConfig,
 ) -> list[tuple[Action, Observation]]:
-    state = node.state
-    pending = state.pending_subgoal()
-    if pending is None:
+    if state.pending_subgoal() is None:
         return [(a, subgoal_observation(a)) for a in subgoal_actions(state)]
-    if pending is ObservationKind.REASON:
-        candidates = generation.sample_rationales(state, generator, sampling)
-    elif pending is ObservationKind.GENQUERY:
-        candidates = generation.sample_queries(state, generator, sampling)
-    else:
-        if corpus is None:
-            raise ConfigurationError("retrieval reachable but no corpus configured")
-        query = next(
-            obs.text
-            for obs in reversed(state.observations)
-            if obs.kind is ObservationKind.QUERY
-        )
-        candidates = retrieval.retrieve(corpus, query, sampling.k)
+    candidates = generation.candidates_for(state, generator, corpus, sampling)
     return [(ChooseCandidate(i, obs), obs) for i, obs in enumerate(candidates)]
 
 
@@ -247,12 +223,9 @@ def _run_iteration(
     target = node
     if not node.dead and not is_terminal(node.state, detector):
         if node.pending is None:
-            try:
-                node.pending = deque(_child_specs(node, generator, corpus, cfg.sampling))
-            except (EmptyCandidatesError, MissingRationaleError, EmptyQueryError):
-                # Nothing to execute here; the node becomes a dead end that is
-                # still simulated so its emptiness is priced into the tree.
-                node.pending = deque()
+            # With nothing to execute the node becomes a dead end that is
+            # still simulated, so its emptiness is priced into the tree.
+            node.pending = deque(_child_specs(node.state, generator, corpus, cfg.sampling))
         if node.pending:
             action, obs = node.pending.popleft()
             child = TreeNode(
@@ -299,16 +272,6 @@ def _backpropagate(node: TreeNode, reward_value: float) -> None:
 # ------------------------------------------------------------ pair extraction
 
 
-def _children_critic_kind(parent: TreeNode) -> CriticKind:
-    if parent.state.pending_subgoal() is ObservationKind.REASON:
-        return CriticKind.RATIONALE
-    if parent.state.pending_subgoal() is ObservationKind.GENQUERY:
-        return CriticKind.QUERY
-    if parent.state.pending_subgoal() is ObservationKind.RETRIEVE:
-        return CriticKind.DOC
-    return CriticKind.SUBGOAL
-
-
 def extract_pairs(
     root: TreeNode,
     problem: ProblemInstance,
@@ -335,7 +298,7 @@ def extract_pairs(
             rejected = rejected[:max_rejected_per_group]
         if not rejected:
             continue
-        kind = _children_critic_kind(parent)
+        kind = critic_kind_for(parent.state)
         context = build_context(parent.state, kind, chosen.observation)
         for sibling in rejected:
             out[kind].append(

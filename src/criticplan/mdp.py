@@ -36,9 +36,6 @@ class ObservationKind(Enum):
 SUBGOAL_KINDS = frozenset(
     {ObservationKind.REASON, ObservationKind.GENQUERY, ObservationKind.RETRIEVE}
 )
-EXECUTION_KINDS = frozenset(
-    {ObservationKind.RATIONALE, ObservationKind.QUERY, ObservationKind.DOC}
-)
 
 # Which execution kind realizes each pending sub-goal.
 EXECUTION_FOR = {
@@ -191,6 +188,13 @@ class State:
         if not self.trajectory:
             return None
         return self.trajectory[-1][1]
+
+    def latest(self, kind: ObservationKind) -> Observation | None:
+        """The most recent observation of `kind`, if any."""
+        for _, obs in reversed(self.trajectory):
+            if obs.kind is kind:
+                return obs
+        return None
 
     def pending_subgoal(self) -> ObservationKind | None:
         """Kind of the unconsumed sub-goal marker, if the state ends in one."""

@@ -16,14 +16,8 @@ from enum import Enum
 from typing import Mapping
 
 from . import generation, retrieval
-from .critics import CriticBackend, CriticKind, reward
-from .errors import (
-    ContractViolationError,
-    EmptyCandidatesError,
-    EmptyQueryError,
-    MissingRationaleError,
-    PlanningFailureError,
-)
+from .critics import CriticBackend, CriticKind, critic_kind_for, reward
+from .errors import ContractViolationError, EmptyQueryError, PlanningFailureError
 from .generation import GeneratorBackend, SamplingConfig
 from .mdp import (
     AnswerDetector,
@@ -142,34 +136,19 @@ class _Loop:
             )
         )
 
-    def obtain_candidates(self, state: State) -> list[Observation]:
-        pending = state.pending_subgoal()
-        if pending is ObservationKind.REASON:
-            return generation.sample_rationales(state, self.generator, self.cfg.sampling)
-        if pending is ObservationKind.GENQUERY:
-            return generation.sample_queries(state, self.generator, self.cfg.sampling)
-        if self.corpus is None:
-            raise ContractViolationError("retrieval selected but no corpus configured")
-        query = next(
-            obs.text
-            for obs in reversed(state.observations)
-            if obs.kind is ObservationKind.QUERY
-        )
-        return retrieval.retrieve(self.corpus, query, self.cfg.sampling.k)
-
     def choose_candidate(self, state: State, candidates: list[Observation]) -> State:
         actions = [ChooseCandidate(i, obs) for i, obs in enumerate(candidates)]
         scored = [(a, reward(state, a, self.critics)) for a in actions]
         best_index = self.pick_best(scored)
-        kind = state.pending_subgoal()
-        if kind is ObservationKind.GENQUERY:
+        kind = critic_kind_for(state)
+        if kind is CriticKind.QUERY:
             for action, score in scored:
                 if self.best_query is None or score > self.best_query[0]:
                     self.best_query = (score, action.candidate.text)
         self.decisions.append(
             DecisionRecord(
                 step=state.step_index + 1,
-                kind=generation_kind_label(kind),
+                kind=kind.value,
                 candidates=tuple(
                     ScoredCandidate(
                         index=i,
@@ -211,23 +190,14 @@ class _Loop:
             if is_terminal(after_marker, self.cfg.answer_detector):
                 self.record_subgoal_decision(state, scored, best_index, masked)
                 return after_marker
-            try:
-                candidates = self.obtain_candidates(after_marker)
-            except (EmptyCandidatesError, MissingRationaleError, EmptyQueryError):
-                candidates = []
+            candidates = generation.candidates_for(
+                after_marker, self.generator, self.corpus, self.cfg.sampling
+            )
             if not candidates:
                 masked.add(action.target)
                 continue
             self.record_subgoal_decision(state, scored, best_index, masked)
             return self.choose_candidate(after_marker, candidates)
-
-
-def generation_kind_label(kind: ObservationKind | None) -> str:
-    if kind is ObservationKind.REASON:
-        return "rationale"
-    if kind is ObservationKind.GENQUERY:
-        return "query"
-    return "doc"
 
 
 def solve(
@@ -284,11 +254,7 @@ def solve_for_ranking(
     while not is_terminal(state, cfg.answer_detector):
         state = loop.step(state, retrieve_is_final=True)
         if loop.final_retrieve is not None:
-            query = next(
-                obs.text
-                for obs in reversed(state.observations)
-                if obs.kind is ObservationKind.QUERY
-            )
+            query = state.latest(ObservationKind.QUERY).text
             return _ranking_result(loop, problem, state, query, fallback=False)
     query = loop.best_query[1] if loop.best_query is not None else problem.statement
     return _ranking_result(loop, problem, state, query, fallback=True)

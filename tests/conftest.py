@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import contextlib
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
+
 import pytest
 
 from criticplan.mdp import (
@@ -58,3 +62,33 @@ def state_after_query(problem):
     state = advance_candidate(state, rationale("the sum is computed by counting"))
     state = advance_subgoal(state, SubGoal.QUERYING)
     return advance_candidate(state, query("integer addition basics"))
+
+
+@contextlib.contextmanager
+def serve_fixed_reply(body: str, declared_length: int | None = None):
+    """Loopback HTTP server answering every POST with `body`; yields its URL.
+
+    `declared_length` overrides the Content-Length header (a truncated reply).
+    """
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            payload = body.encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(declared_length or len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/"
+    finally:
+        server.shutdown()
+        server.server_close()

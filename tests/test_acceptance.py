@@ -25,7 +25,7 @@ from criticplan.critics import (
 )
 from criticplan.evaluation import NormalizedExactMatchChecker, accuracy, ndcg_at_10
 from criticplan.generation import SamplingConfig
-from criticplan.mcts import ExactMatchOracle, MctsConfig, extract_pairs, run_mcts, ucb1
+from criticplan.mcts import CheckerOracle, MctsConfig, extract_pairs, run_mcts, ucb1
 from criticplan.mdp import ObservationKind, SentinelAnswerDetector
 from criticplan.planner import PlannerConfig, TerminationReason, solve, solve_for_ranking
 from criticplan.retrieval import Bm25Params, build_index, retrieve, score_query
@@ -83,7 +83,7 @@ def test_a1_mcts_bookkeeping():
             iterations=iters, sampling=SamplingConfig(k=n_candidates), horizon=toy.horizon,
             seed=rng.randint(0, 10_000),
         )
-        run_mcts(toy.problems[0], toy.backend, ExactMatchOracle(), cfg, iteration_hook=check)
+        run_mcts(toy.problems[0], toy.backend, CheckerOracle(), cfg, iteration_hook=check)
         total += iters
     assert iterations_checked >= 1000
 
@@ -164,7 +164,7 @@ def _collect_reasoning_pairs(toy, iterations=64):
             sampling=SamplingConfig(k=toy.n_candidates),
             horizon=toy.horizon,
         )
-        root = run_mcts(problem, toy.backend, ExactMatchOracle(), cfg)
+        root = run_mcts(problem, toy.backend, CheckerOracle(), cfg)
         per_problem[problem.problem_id] = extract_pairs(root, problem)
     return per_problem
 

@@ -16,6 +16,7 @@ from criticplan.critics import (
     LookupRule,
     PreferencePair,
     build_context,
+    critic_kind_for,
     export_pairs,
     import_pairs,
     pairs_filename,
@@ -38,7 +39,14 @@ from criticplan.mdp import (
     SubGoal,
     root_state,
 )
-from tests.conftest import advance_candidate, advance_subgoal, doc, query, rationale
+from tests.conftest import (
+    advance_candidate,
+    advance_subgoal,
+    doc,
+    query,
+    rationale,
+    serve_fixed_reply,
+)
 
 
 def reference_loss(chosen: float, rejected: float) -> float:
@@ -94,6 +102,18 @@ class TestRewardDispatch:
         state = advance_subgoal(root_state(problem), SubGoal.REASONING)
         with pytest.raises(ContractViolationError):
             reward(state, ChooseSubGoal(SubGoal.REASONING), ALL_CONSTANT)
+
+
+def test_critic_kind_for_each_pending_subgoal(problem, state_after_rationale, state_after_query):
+    root = root_state(problem)
+    table = [
+        (root, CriticKind.SUBGOAL),
+        (state_after_rationale, CriticKind.SUBGOAL),
+        (advance_subgoal(root, SubGoal.REASONING), CriticKind.RATIONALE),
+        (advance_subgoal(state_after_rationale, SubGoal.QUERYING), CriticKind.QUERY),
+        (advance_subgoal(state_after_query, SubGoal.RETRIEVING), CriticKind.DOC),
+    ]
+    assert [critic_kind_for(state) for state, _ in table] == [kind for _, kind in table]
 
 
 class TestContextAssembly:
@@ -471,3 +491,21 @@ def test_http_critic_unreachable_is_backend_error():
     )
     with pytest.raises(BackendError):
         critic.score(ctx)
+
+
+@pytest.mark.parametrize(
+    "reply", ["[]", '{"score": null}', '{"score": [1]}', '{"score": "0.5"}', '{"score": true}']
+)
+def test_http_critic_wrong_shape_reply_is_backend_error(reply):
+    from criticplan.critics import HttpCritic
+    from criticplan.errors import BackendError
+
+    ctx = CriticContext(
+        kind=CriticKind.DOC,
+        problem_statement="",
+        context_observations=(),
+        candidate=doc("body", "d1"),
+    )
+    with serve_fixed_reply(reply) as url:
+        with pytest.raises(BackendError):
+            HttpCritic(base_url=url, timeout=2.0).score(ctx)

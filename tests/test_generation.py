@@ -8,6 +8,7 @@ import pytest
 
 from criticplan.errors import (
     BackendError,
+    ConfigurationError,
     ContractViolationError,
     EmptyCandidatesError,
     MissingRationaleError,
@@ -18,6 +19,7 @@ from criticplan.generation import (
     SamplingConfig,
     ScriptedBackend,
     ScriptedRule,
+    candidates_for,
     conclude,
     load_template,
     render_conclusion_prompt,
@@ -28,7 +30,15 @@ from criticplan.generation import (
     write_scripted_backend,
 )
 from criticplan.mdp import ObservationKind, SubGoal, root_state
-from tests.conftest import advance_candidate, advance_subgoal, doc, rationale
+from criticplan.retrieval import build_index
+from tests.conftest import (
+    advance_candidate,
+    advance_subgoal,
+    doc,
+    query,
+    rationale,
+    serve_fixed_reply,
+)
 
 
 def scripted(candidates, conclusion="done"):
@@ -278,6 +288,65 @@ class TestHttpBackend:
         backend = HttpGeneratorBackend(base_url="http://127.0.0.1:1/", timeout=0.2)
         with pytest.raises(BackendError):
             backend.sample("x", 1, 0.0)
+
+    @pytest.mark.parametrize("reply", ["[]", "null", '"text"', "7"])
+    def test_reply_that_is_not_an_object_is_backend_error(self, reply):
+        with serve_fixed_reply(reply) as url:
+            backend = HttpGeneratorBackend(base_url=url, timeout=2.0, retries=0)
+            with pytest.raises(BackendError, match="not an object"):
+                backend.sample("x", 1, 0.0)
+
+    def test_truncated_reply_is_backend_error(self):
+        with serve_fixed_reply('{"candidates": ["a"', declared_length=100) as url:
+            backend = HttpGeneratorBackend(base_url=url, timeout=2.0, retries=1)
+            with pytest.raises(BackendError, match="generator endpoint failed"):
+                backend.sample("x", 1, 0.0)
+
+
+class TestCandidatesFor:
+    CORPUS = build_index([("d1", "integer addition basics"), ("d2", "unrelated text")])
+
+    def test_reason_samples_rationales(self, problem):
+        state = advance_subgoal(root_state(problem), SubGoal.REASONING)
+        observations = candidates_for(state, scripted(["a", "b"]), None, SamplingConfig(k=2))
+        assert [(o.kind, o.text) for o in observations] == [
+            (ObservationKind.RATIONALE, "a"),
+            (ObservationKind.RATIONALE, "b"),
+        ]
+
+    def test_genquery_samples_queries(self, state_after_rationale):
+        state = advance_subgoal(state_after_rationale, SubGoal.QUERYING)
+        observations = candidates_for(state, scripted(["q"]), None, SamplingConfig(k=1))
+        assert [(o.kind, o.text) for o in observations] == [(ObservationKind.QUERY, "q")]
+
+    def test_retrieve_runs_the_latest_query(self, state_after_query):
+        state = advance_subgoal(state_after_query, SubGoal.RETRIEVING)
+        observations = candidates_for(state, scripted([]), self.CORPUS, SamplingConfig(k=3))
+        assert [o.doc_id for o in observations] == ["d1"]
+
+    def test_rule_without_usable_candidates_gives_empty(self, problem):
+        state = advance_subgoal(root_state(problem), SubGoal.REASONING)
+        backend = scripted(["", "  [BEGIN REASON]  [END REASON] "])
+        assert candidates_for(state, backend, None, SamplingConfig(k=2)) == []
+
+    def test_genquery_without_rationale_gives_empty(self, problem):
+        state = advance_subgoal(root_state(problem), SubGoal.QUERYING)
+        assert candidates_for(state, scripted(["q"]), None, SamplingConfig()) == []
+
+    def test_query_without_terms_gives_empty(self, state_after_rationale):
+        state = advance_subgoal(state_after_rationale, SubGoal.QUERYING)
+        state = advance_candidate(state, query("?! --"))
+        state = advance_subgoal(state, SubGoal.RETRIEVING)
+        assert candidates_for(state, scripted([]), self.CORPUS, SamplingConfig()) == []
+
+    def test_retrieve_without_corpus_is_configuration_error(self, state_after_query):
+        state = advance_subgoal(state_after_query, SubGoal.RETRIEVING)
+        with pytest.raises(ConfigurationError):
+            candidates_for(state, scripted([]), None, SamplingConfig())
+
+    def test_decision_point_is_contract_violation(self, state_after_rationale):
+        with pytest.raises(ContractViolationError):
+            candidates_for(state_after_rationale, scripted(["a"]), None, SamplingConfig())
 
 
 class TestWalkthroughSampling:

@@ -11,7 +11,7 @@ from criticplan.critics import CriticKind
 from criticplan.errors import BackendError, ContractViolationError, SearchRunError
 from criticplan.generation import SamplingConfig, ScriptedBackend, ScriptedRule
 from criticplan.mcts import (
-    ExactMatchOracle,
+    CheckerOracle,
     MctsConfig,
     TreeNode,
     dump_tree,
@@ -178,7 +178,7 @@ class TestRunMcts:
         toy = reasoning_toy(1, n_candidates=2)
         problem = toy.problems[0]
         cfg = MctsConfig(iterations=64, sampling=SamplingConfig(k=2), horizon=toy.horizon)
-        root = run_mcts(problem, toy.backend, ExactMatchOracle(), cfg)
+        root = run_mcts(problem, toy.backend, CheckerOracle(), cfg)
         reason_node = next(
             c for c in root.children
             if c.incoming_action == ChooseSubGoal(SubGoal.REASONING)
@@ -227,7 +227,7 @@ def run_reasoning_toy(wrap):
     toy = reasoning_toy(1, n_candidates=2)
     backend = wrap(toy.backend)
     cfg = MctsConfig(iterations=64, sampling=SamplingConfig(k=2), horizon=toy.horizon)
-    return run_mcts(toy.problems[0], backend, ExactMatchOracle(), cfg), backend
+    return run_mcts(toy.problems[0], backend, CheckerOracle(), cfg), backend
 
 
 class TestSimulateOncePerNode:
@@ -346,7 +346,7 @@ class TestExtractPairs:
         toy = reasoning_toy(1, n_candidates=2)
         problem = toy.problems[0]
         cfg = MctsConfig(iterations=64, sampling=SamplingConfig(k=2), horizon=toy.horizon)
-        root = run_mcts(problem, toy.backend, ExactMatchOracle(), cfg)
+        root = run_mcts(problem, toy.backend, CheckerOracle(), cfg)
         pairs = extract_pairs(root, problem)
         assert pairs[CriticKind.RATIONALE]
         assert pairs[CriticKind.SUBGOAL]
@@ -363,7 +363,7 @@ class TestReproducibility:
 
         def collect(directory):
             for problem in toy.problems:
-                root = run_mcts(problem, toy.backend, ExactMatchOracle(), cfg)
+                root = run_mcts(problem, toy.backend, CheckerOracle(), cfg)
                 pairs = extract_pairs(root, problem)
                 export_pairs([p for group in pairs.values() for p in group], directory)
 

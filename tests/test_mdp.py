@@ -126,6 +126,29 @@ class TestActionSpace:
             action_space(state, [query("q")])
 
 
+class TestLatest:
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [
+            (ObservationKind.QUERY, "second query"),
+            (ObservationKind.RATIONALE, "second rationale"),
+            (ObservationKind.DOC, None),
+        ],
+    )
+    def test_latest_of_kind(self, problem, kind, expected):
+        state = root_state(problem)
+        for text in ("first", "second"):
+            state = advance_subgoal(state, SubGoal.REASONING)
+            state = advance_candidate(state, rationale(f"{text} rationale"))
+            state = advance_subgoal(state, SubGoal.QUERYING)
+            state = advance_candidate(state, query(f"{text} query"))
+        latest = state.latest(kind)
+        assert (latest.text if latest is not None else None) == expected
+
+    def test_root_has_no_latest(self, problem):
+        assert root_state(problem).latest(ObservationKind.RATIONALE) is None
+
+
 class TestApply:
     def test_root_reasoning(self, problem):
         state = advance_subgoal(root_state(problem), SubGoal.REASONING)

@@ -3,7 +3,11 @@ from __future__ import annotations
 import pytest
 
 from criticplan.critics import ConstantCritic, CriticKind
-from criticplan.errors import ContractViolationError, PlanningFailureError
+from criticplan.errors import (
+    ConfigurationError,
+    ContractViolationError,
+    PlanningFailureError,
+)
 from criticplan.generation import SamplingConfig, ScriptedBackend, ScriptedRule
 from criticplan.mdp import (
     ObservationKind,
@@ -197,6 +201,23 @@ class TestSolveBasics:
         assert result.decisions[0].masked == ("querying",)
         # Retrieving is not legal at the root (no query yet), so it is never scored.
         assert counting.calls == {(0, "genquery"): 1, (0, "reason"): 1}
+
+    def test_retrieval_without_corpus_is_configuration_error(self, problem):
+        class RetrievePreference:
+            def score(self, ctx):
+                return {"retrieve": 1.0, "genquery": 0.8, "reason": 0.5}.get(
+                    ctx.candidate.kind.value, 0.5
+                )
+
+        critics = dict(ALL_CONSTANT)
+        critics[CriticKind.SUBGOAL] = RetrievePreference()
+        backend = ScriptedBackend(
+            sample_rules=[ScriptedRule(match=(), candidates=("shared term",))],
+            default_conclusion="n/a",
+        )
+        cfg = PlannerConfig(sampling=SamplingConfig(k=1), answer_detector=NEVER)
+        with pytest.raises(ConfigurationError):
+            solve(problem, critics, backend, cfg, corpus=None)
 
     def test_all_subgoals_masked_is_planning_failure(self, problem):
         backend = ScriptedBackend(
