@@ -1,19 +1,27 @@
-"""BM25 retrieval over plain-text corpora.
+"""BM25 retrieval over plain-text corpora, with eager sparse scoring.
 
 Tokenization is lowercase alphanumeric splitting, no stemming, no stopwords.
-The index is immutable after build and persists to a versioned on-disk format
-whose bytes are a pure function of the inputs.
+Following BM25S (Lu, arXiv 2407.03618), every (term, document) contribution is
+computed once at build time into compressed sparse rows, so scoring a query is
+a gather of its terms' rows plus one `np.bincount` accumulation. Each document
+sums its contributions in query-term order, as a loop over postings would, so
+scores are bit-identical to the scalar formula. The index is immutable after
+build and persists to a versioned binary format (header, JSON metadata line,
+raw arrays) whose bytes are a pure function of the inputs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import (
     ContractViolationError,
@@ -24,7 +32,7 @@ from .errors import (
 from .mdp import Observation, ObservationKind
 
 INDEX_MAGIC = "criticplan-bm25-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
@@ -39,41 +47,49 @@ class Bm25Params:
     b: float = 0.75
 
     def __post_init__(self):
-        if self.k1 <= 0:
-            raise ContractViolationError("k1 must be > 0")
+        for name, value in (("k1", self.k1), ("b", self.b)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ContractViolationError(f"retrieval.{name} must be a number, got {value!r}")
+        if not 0 < self.k1 < math.inf:
+            raise ContractViolationError("retrieval.k1 must be finite and > 0")
         if not 0.0 <= self.b <= 1.0:
-            raise ContractViolationError("b must be in [0, 1]")
+            raise ContractViolationError("retrieval.b must be in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corpus:
-    """Built BM25 index: documents plus token statistics.
+    """Built BM25 index: documents plus precomputed term-document scores.
 
-    `postings` maps term -> {doc position -> term frequency}; treat as
-    read-only after construction.
+    Row `terms[t]` of the CSR arrays holds term t's postings: the documents
+    `positions[offsets[row]:offsets[row + 1]]` (ascending) and their BM25
+    contributions `scores[...]`. `doc_rank[p]` is the rank of `doc_ids[p]` in
+    sorted order, the tie-break of equal scores. Treat the arrays as
+    read-only.
     """
 
     corpus_id: str
     params: Bm25Params
     doc_ids: tuple[str, ...]
     doc_texts: tuple[str, ...]
-    doc_lengths: tuple[int, ...]
     avgdl: float
-    postings: Mapping[str, Mapping[int, int]]
+    terms: Mapping[str, int]
+    offsets: np.ndarray
+    positions: np.ndarray
+    scores: np.ndarray
+    doc_rank: np.ndarray
 
     def __len__(self) -> int:
         return len(self.doc_ids)
 
     def document_frequency(self, term: str) -> int:
-        return len(self.postings.get(term, {}))
+        row = self.terms.get(term)
+        return 0 if row is None else int(self.offsets[row + 1] - self.offsets[row])
 
-    def idf(self, term: str) -> float:
-        df = self.document_frequency(term)
-        n = len(self.doc_ids)
-        return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
 
-    def text_of(self, doc_id: str) -> str:
-        return self.doc_texts[self.doc_ids.index(doc_id)]
+def _doc_rank(doc_ids) -> np.ndarray:
+    rank = np.empty(len(doc_ids), dtype=np.int64)
+    rank[sorted(range(len(doc_ids)), key=doc_ids.__getitem__)] = np.arange(len(doc_ids))
+    return rank
 
 
 def build_index(
@@ -85,47 +101,61 @@ def build_index(
     doc_ids: list[str] = []
     doc_texts: list[str] = []
     doc_lengths: list[int] = []
-    postings: dict[str, dict[int, int]] = {}
+    distinct_terms: list[int] = []
+    vocabulary: dict[str, str] = {}  # one shared str per term, not one per posting
+    posting_terms: list[str] = []
+    tfs: list[int] = []
     seen: set[str] = set()
     for doc_id, text in documents:
         if doc_id in seen:
             raise IngestionError(f"duplicate doc_id {doc_id!r}")
         seen.add(doc_id)
-        position = len(doc_ids)
         tokens = tokenize(text)
+        counts = Counter(tokens)
         doc_ids.append(doc_id)
         doc_texts.append(text)
         doc_lengths.append(len(tokens))
-        for term, tf in Counter(tokens).items():
-            postings.setdefault(term, {})[position] = tf
-    avgdl = sum(doc_lengths) / len(doc_lengths) if doc_lengths else 0.0
-    return Corpus(
-        corpus_id=corpus_id,
-        params=params,
-        doc_ids=tuple(doc_ids),
-        doc_texts=tuple(doc_texts),
-        doc_lengths=tuple(doc_lengths),
-        avgdl=avgdl,
-        postings=postings,
+        distinct_terms.append(len(counts))
+        posting_terms.extend(map(vocabulary.setdefault, counts, counts))
+        tfs.extend(counts.values())
+    n = len(doc_ids)
+    avgdl = sum(doc_lengths) / n if n else 0.0
+    terms = {term: row for row, term in enumerate(sorted(vocabulary))}
+    rows = np.fromiter(map(terms.__getitem__, posting_terms), np.int64, len(posting_terms))
+    order = np.argsort(rows, kind="stable")  # keeps each row's positions ascending
+    df = np.bincount(rows, minlength=len(terms))
+    positions = np.repeat(np.arange(n, dtype=np.int32), distinct_terms)[order]
+    tf = np.array(tfs, dtype=np.int64)[order]
+    idf = [math.log((n - d + 0.5) / (d + 0.5) + 1.0) for d in df.tolist()]
+    # The scalar formula's operations in its order: every float is bit-identical.
+    k1, b = params.k1, params.b
+    norm = k1 * (1.0 - b + b * np.array(doc_lengths, dtype=np.int64)[positions] / avgdl)
+    scores = np.repeat(np.array(idf, dtype=np.float64), df) * tf * (k1 + 1.0) / (tf + norm)
+    return Corpus(corpus_id, params, tuple(doc_ids), tuple(doc_texts), avgdl, terms,
+                  np.concatenate(([0], np.cumsum(df))), positions, scores, _doc_rank(doc_ids))
+
+
+def _accumulate(corpus: Corpus, query: str) -> np.ndarray:
+    """Per-document BM25 totals of `query`, summed in query-term order."""
+    terms = tokenize(query)
+    if not terms:
+        raise EmptyQueryError(f"query {query!r} tokenized to nothing")
+    spans = [(corpus.offsets[row], corpus.offsets[row + 1])
+             for row in (corpus.terms.get(term) for term in terms) if row is not None]
+    if not spans:
+        return np.zeros(len(corpus))
+    return np.bincount(
+        np.concatenate([corpus.positions[lo:hi] for lo, hi in spans]),
+        weights=np.concatenate([corpus.scores[lo:hi] for lo, hi in spans]),
+        minlength=len(corpus),
     )
 
 
 def score_query(corpus: Corpus, query: str) -> dict[str, float]:
     """Okapi BM25 scores for every document matching at least one query term."""
-    terms = tokenize(query)
-    if not terms:
-        raise EmptyQueryError(f"query {query!r} tokenized to nothing")
-    k1, b = corpus.params.k1, corpus.params.b
-    scores: dict[int, float] = {}
-    for term in terms:
-        entry = corpus.postings.get(term)
-        if not entry:
-            continue
-        idf = corpus.idf(term)
-        for position, tf in entry.items():
-            norm = k1 * (1.0 - b + b * corpus.doc_lengths[position] / corpus.avgdl)
-            scores[position] = scores.get(position, 0.0) + idf * tf * (k1 + 1.0) / (tf + norm)
-    return {corpus.doc_ids[p]: s for p, s in scores.items()}
+    totals = _accumulate(corpus, query)
+    hits = np.flatnonzero(totals)
+    return dict(zip([corpus.doc_ids[p] for p in hits.tolist()], totals[hits].tolist()))
 
 
 def retrieve_scored(corpus: Corpus, query: str, k: int) -> list[tuple[Observation, float]]:
@@ -135,17 +165,16 @@ def retrieve_scored(corpus: Corpus, query: str, k: int) -> list[tuple[Observatio
     """
     if k < 1:
         raise ContractViolationError("k must be >= 1")
-    scores = score_query(corpus, query)
-    ranked = sorted(
-        ((doc_id, s) for doc_id, s in scores.items() if s > 0.0),
-        key=lambda pair: (-pair[1], pair[0]),
-    )
-    out = []
-    for doc_id, s in ranked[:k]:
-        out.append(
-            (Observation(kind=ObservationKind.DOC, text=corpus.text_of(doc_id), doc_id=doc_id), s)
-        )
-    return out
+    totals = _accumulate(corpus, query)
+    hits = np.flatnonzero(totals > 0.0)
+    if len(hits) > k:  # keep every document tied with the k-th best score
+        hits = hits[totals[hits] >= np.partition(totals[hits], len(hits) - k)[len(hits) - k]]
+    top = hits[np.lexsort((corpus.doc_rank[hits], -totals[hits]))[:k]].tolist()
+    return [
+        (Observation(kind=ObservationKind.DOC, text=corpus.doc_texts[p],
+                     doc_id=corpus.doc_ids[p]), s)
+        for p, s in zip(top, totals[top].tolist())
+    ]
 
 
 def retrieve(corpus: Corpus, query: str, k: int) -> list[Observation]:
@@ -155,27 +184,27 @@ def retrieve(corpus: Corpus, query: str, k: int) -> list[Observation]:
 # ------------------------------------------------------------------ persistence
 
 
-def _index_payload(corpus: Corpus) -> dict:
-    return {
+def index_bytes(corpus: Corpus) -> bytes:
+    """Serialized index; byte-identical for identical inputs.
+
+    Layout: the header line, one sorted-key JSON metadata line, then the raw
+    little-endian arrays `<i8` offsets, `<i4` positions and `<f8` scores.
+    """
+    terms = sorted(corpus.terms, key=corpus.terms.__getitem__)
+    meta = {
         "corpus_id": corpus.corpus_id,
         "params": {"k1": corpus.params.k1, "b": corpus.params.b},
+        "avgdl": corpus.avgdl,
         "doc_ids": list(corpus.doc_ids),
         "doc_texts": list(corpus.doc_texts),
-        "doc_lengths": list(corpus.doc_lengths),
-        "avgdl": corpus.avgdl,
-        "postings": {
-            term: {str(pos): tf for pos, tf in entry.items()}
-            for term, entry in corpus.postings.items()
-        },
+        "terms": terms,
+        "postings": len(corpus.positions),
     }
-
-
-def index_bytes(corpus: Corpus) -> bytes:
-    """Serialized index; byte-identical for identical inputs."""
-    header = f"{INDEX_MAGIC} {INDEX_VERSION}\n"
-    body = json.dumps(_index_payload(corpus), ensure_ascii=False, sort_keys=True,
-                      separators=(",", ":"))
-    return (header + body + "\n").encode("utf-8")
+    head = f"{INDEX_MAGIC} {INDEX_VERSION}\n" + json.dumps(
+        meta, ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n"
+    return b"".join((head.encode("utf-8"), corpus.offsets.astype("<i8").tobytes(),
+                     corpus.positions.astype("<i4").tobytes(),
+                     corpus.scores.astype("<f8").tobytes()))
 
 
 def save_index(corpus: Corpus, path) -> None:
@@ -183,26 +212,38 @@ def save_index(corpus: Corpus, path) -> None:
 
 
 def load_index(path) -> Corpus:
-    raw = Path(path).read_bytes().decode("utf-8")
-    header, _, body = raw.partition("\n")
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != INDEX_MAGIC:
-        raise IndexFormatError(f"{path}: bad magic header {header!r}")
-    if int(parts[1]) != INDEX_VERSION:
-        raise IndexFormatError(f"{path}: unsupported index version {parts[1]}")
-    data = json.loads(body)
-    return Corpus(
-        corpus_id=data["corpus_id"],
-        params=Bm25Params(**data["params"]),
-        doc_ids=tuple(data["doc_ids"]),
-        doc_texts=tuple(data["doc_texts"]),
-        doc_lengths=tuple(data["doc_lengths"]),
-        avgdl=data["avgdl"],
-        postings={
-            term: {int(pos): tf for pos, tf in entry.items()}
-            for term, entry in data["postings"].items()
-        },
-    )
+    """Read a v2 index; any malformed file is an IndexFormatError naming it."""
+    with open(path, "rb") as fh:
+        header, meta_line, arrays = fh.readline().rstrip(b"\n"), fh.readline(), fh.read()
+    magic, _, version = header.decode("utf-8", "replace").partition(" ")
+    if magic != INDEX_MAGIC:
+        raise IndexFormatError(f"{path}: bad magic header {header[:64]!r}")
+    if version != str(INDEX_VERSION):
+        raise IndexFormatError(
+            f"{path}: unsupported index version {version[:16]!r} (this build reads "
+            f"version {INDEX_VERSION}; rerun `criticplan index` to rebuild it)"
+        )
+    try:
+        meta = json.loads(meta_line.decode("utf-8"))
+        n_offsets, n_postings = len(meta["terms"]) + 1, int(meta["postings"])
+        fields = (meta["corpus_id"], Bm25Params(**meta["params"]), tuple(meta["doc_ids"]),
+                  tuple(meta["doc_texts"]), meta["avgdl"],
+                  {term: row for row, term in enumerate(meta["terms"])})
+        doc_rank = _doc_rank(fields[2])
+    except (ValueError, KeyError, TypeError, ContractViolationError) as err:
+        raise IndexFormatError(f"{path}: bad index metadata: {err!r}") from None
+    if len(fields[3]) != len(doc_rank):
+        raise IndexFormatError(f"{path}: bad index metadata: doc_texts and doc_ids differ")
+    if n_postings < 0 or len(arrays) != 8 * n_offsets + 12 * n_postings:
+        raise IndexFormatError(f"{path}: array section holds {len(arrays)} bytes, expected "
+                               f"{8 * n_offsets + 12 * n_postings} for {n_postings} postings")
+    offsets = np.frombuffer(arrays, "<i8", n_offsets)
+    positions = np.frombuffer(arrays, "<i4", n_postings, 8 * n_offsets)
+    scores = np.frombuffer(arrays, "<f8", n_postings, 8 * n_offsets + 4 * n_postings)
+    if (offsets[0] != 0 or offsets[-1] != n_postings or np.any(np.diff(offsets) < 0)
+            or np.any((positions < 0) | (positions >= len(doc_rank)))):
+        raise IndexFormatError(f"{path}: offsets or positions out of range")
+    return Corpus(*fields, offsets, positions, scores, doc_rank)
 
 
 # -------------------------------------------------------------------- ingestion

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from criticplan.cli import main
 from criticplan.critics import CriticKind
+from criticplan.errors import CriticPlanError
 from tests._toys import lookup_toy, ranking_toy, reasoning_toy, write_workspace
 
 
@@ -94,6 +95,18 @@ class TestConfig:
         result = run_cli(runner, config, "index")
         assert result.output.startswith("config: ")
         assert "seed: 7" in result.output
+
+    @pytest.mark.parametrize("key, value", [("k1", "1.2"), ("b", True), ("k1", None)])
+    def test_non_number_bm25_param_names_config_key(self, runner, tmp_path, key, value):
+        config_path = mixed_suite(tmp_path)
+        config = json.loads(open(config_path, encoding="utf-8").read())
+        config["retrieval"] = {key: value}
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        result = runner.invoke(main, ["--config", config_path, "index"])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, CriticPlanError)
+        assert f"retrieval.{key}" in str(result.exception)
 
     def test_generator_env_override(self, tmp_path, monkeypatch):
         from criticplan.config import load_engine_config

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from criticplan.errors import ContractViolationError, EmptyQueryError, IndexFormatError, IngestionError
@@ -181,10 +183,76 @@ class TestPersistence:
     def test_bad_version_rejected(self, tmp_path):
         corpus = build_index(THREE_DOCS)
         path = tmp_path / "corpus.bm25"
-        raw = index_bytes(corpus).decode("utf-8").splitlines()
-        path.write_text("criticplan-bm25-index 99\n" + raw[1] + "\n")
+        _, body = index_bytes(corpus).split(b"\n", 1)
+        path.write_bytes(b"criticplan-bm25-index 99\n" + body)
         with pytest.raises(IndexFormatError):
             load_index(path)
+
+    def test_v1_index_rejected_with_rebuild_hint(self, tmp_path):
+        path = tmp_path / "corpus.bm25"
+        path.write_text('criticplan-bm25-index 1\n{"avgdl":2.0,"corpus_id":"c","doc_ids":["a"],'
+                        '"doc_lengths":[2],"doc_texts":["x y"],"params":{"b":0.75,"k1":1.2},'
+                        '"postings":{"x":{"0":1},"y":{"0":1}}}\n')
+        with pytest.raises(IndexFormatError) as excinfo:
+            load_index(path)
+        assert str(path) in str(excinfo.value)
+        assert "criticplan index" in str(excinfo.value)
+
+
+def _edit_meta(edit):
+    def splice(header, meta_line, arrays):
+        meta = json.loads(meta_line)
+        edit(meta)
+        return header, json.dumps(meta, sort_keys=True).encode("utf-8"), arrays
+    return splice
+
+
+def _edit_arrays(edit):
+    """Apply `edit(offsets, positions)` to writable copies of the array section."""
+    def splice(header, meta_line, arrays):
+        meta = json.loads(meta_line)
+        n_offsets, n_postings = len(meta["terms"]) + 1, meta["postings"]
+        offsets = np.frombuffer(arrays, "<i8", n_offsets).copy()
+        positions = np.frombuffer(arrays, "<i4", n_postings, 8 * n_offsets).copy()
+        edit(offsets, positions)
+        rest = arrays[8 * n_offsets + 4 * n_postings:]
+        return header, meta_line, offsets.tobytes() + positions.tobytes() + rest
+    return splice
+
+
+def _set(array, index, value):
+    array[index] = value
+
+
+MALFORMED_INDEXES = {
+    "non-integer version": (lambda h, m, a: (b"criticplan-bm25-index x", m, a), "version"),
+    "non-utf8 header": (lambda h, m, a: (b"\xff" + h, m, a), "magic"),
+    "non-utf8 metadata": (lambda h, m, a: (h, m.replace(b'"d0"', b'"d\xff"'), a), "metadata"),
+    "bad metadata json": (lambda h, m, a: (h, m[:-1], a), "metadata"),
+    "missing metadata key": (_edit_meta(lambda meta: meta.pop("doc_ids")), "metadata"),
+    "doc_texts short": (_edit_meta(lambda meta: meta["doc_texts"].pop()), "metadata"),
+    "non-number param": (_edit_meta(lambda meta: meta["params"].update(k1="1.2")), "metadata"),
+    "truncated arrays": (lambda h, m, a: (h, m, a[:-3]), "bytes"),
+    "posting count mismatch": (
+        _edit_meta(lambda meta: meta.update(postings=meta["postings"] + 1)), "bytes"),
+    "offsets not monotone": (_edit_arrays(lambda o, p: _set(o, 1, 100)), "offsets"),
+    "offsets end short": (_edit_arrays(lambda o, p: _set(o, -1, o[-1] - 1)), "offsets"),
+    "position out of range": (_edit_arrays(lambda o, p: _set(p, 0, 3)), "positions"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INDEXES))
+def test_malformed_index_is_format_error_naming_file(tmp_path, case):
+    splice, expected = MALFORMED_INDEXES[case]
+    header, meta_line, arrays = index_bytes(build_index(THREE_DOCS)).split(b"\n", 2)
+    header, meta_line, arrays = splice(header, meta_line, arrays)
+    path = tmp_path / "corpus.bm25"
+    path.write_bytes(header + b"\n" + meta_line + b"\n" + arrays)
+    with pytest.raises(IndexFormatError) as excinfo:
+        load_index(path)
+    message = str(excinfo.value)
+    assert str(path) in message
+    assert expected in message.replace(str(path), "")
 
 
 class TestIngestion:
