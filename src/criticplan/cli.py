@@ -7,6 +7,7 @@ nonzero when a problem was skipped or an error occurred.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import sys
@@ -37,7 +38,7 @@ def _header_line(format_name: str, seed: int) -> str:
 
 
 def _echo_config(config: EngineConfig) -> None:
-    click.echo("config: " + json.dumps(config.resolved(), sort_keys=True))
+    click.echo("config: " + json.dumps(dataclasses.asdict(config), sort_keys=True))
     click.echo(f"seed: {config.seed}")
 
 
@@ -46,21 +47,17 @@ def load_problems(path) -> list[ProblemInstance]:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"problems file not found: {path}")
-    problems = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            problems.append(
-                ProblemInstance(
-                    problem_id=str(record["problem_id"]),
-                    statement=record["statement"],
-                    gold_label=record.get("gold_label", ""),
-                    task_kind=TaskKind(record.get("task_kind", "answer_match")),
-                )
-            )
-    return problems
+    return evaluation.read_records(path, lambda record: ProblemInstance(
+        problem_id=str(record["problem_id"]),
+        statement=record["statement"],
+        gold_label=record.get("gold_label", ""),
+        task_kind=TaskKind(record.get("task_kind", "answer_match")),
+    ))
+
+
+def _present(spec: dict, *keys: str) -> dict:
+    """The entries of `spec` among `keys`; absent keys keep the owner's default."""
+    return {key: spec[key] for key in keys if key in spec}
 
 
 def _generator_from_config(config: EngineConfig) -> generation.GeneratorBackend:
@@ -78,9 +75,7 @@ def _generator_from_config(config: EngineConfig) -> generation.GeneratorBackend:
             raise ConfigurationError("generator.url is required for an http generator")
         return generation.HttpGeneratorBackend(
             base_url=spec["url"],
-            timeout=spec.get("timeout", 30.0),
-            retries=spec.get("retries", 2),
-            seed=spec.get("seed", config.seed),
+            **{"seed": config.seed, **_present(spec, "timeout", "retries", "seed")},
         )
     raise ConfigurationError(f"unknown generator type {kind!r}")
 
@@ -91,9 +86,11 @@ def _checker_from_spec(spec: dict, section: str) -> evaluation.AnswerChecker:
     if kind == "exact_match":
         return evaluation.NormalizedExactMatchChecker()
     if kind == "command":
-        return evaluation.ExternalCommandChecker(
-            command=tuple(spec["command"]), timeout=spec.get("timeout", 60.0)
-        )
+        command = spec.get("command")
+        if not isinstance(command, list) or not command:
+            raise ConfigurationError(f"{section}.command must be a non-empty list: {command!r}")
+        options = _present(spec, "timeout")
+        return evaluation.ExternalCommandChecker(command=tuple(command), **options)
     raise ConfigurationError(f"unknown {section} type {kind!r}")
 
 
@@ -105,7 +102,7 @@ def _critics_from_config(config: EngineConfig, mode: str | None = None):
         if "url" not in config.critics:
             raise ConfigurationError("critics.url is required for http critics")
         backend = critics_mod.HttpCritic(
-            base_url=config.critics["url"], timeout=config.critics.get("timeout", 30.0)
+            base_url=config.critics["url"], **_present(config.critics, "timeout")
         )
         return {k: backend for k in CriticKind}
     if kind == "trained":
@@ -118,7 +115,9 @@ def _critics_from_config(config: EngineConfig, mode: str | None = None):
                     f"critic file not found: {path} (produce it with "
                     f"`criticplan train-critic {critic_kind.value}`)"
                 )
-            loaded[critic_kind] = LinearCritic.load(path)
+            critic = loaded[critic_kind] = LinearCritic.load(path)
+            if critic.kind is not critic_kind:
+                raise ConfigurationError(f"{path}: holds a {critic.kind.value} critic")
         return loaded
     raise ConfigurationError(f"unknown critics type {kind!r}")
 
@@ -146,7 +145,7 @@ def main(ctx: click.Context, config_path: str, seed: int | None, parallel: int, 
     logging.basicConfig(level=logging.DEBUG if verbose else logging.WARNING)
     config = load_engine_config(config_path)
     if seed is not None:
-        config = EngineConfig(**{**config.resolved(), "seed": seed})
+        config = dataclasses.replace(config, seed=seed)
     ctx.obj = {"config": config, "parallel": max(1, parallel)}
 
 
@@ -167,9 +166,7 @@ def index(ctx: click.Context):
         documents = retrieval.ingest_directory(corpus_dir)
     if not documents:
         raise click.ClickException(f"no documents under {corpus_dir}")
-    params = retrieval.Bm25Params(
-        k1=config.retrieval.get("k1", 1.2), b=config.retrieval.get("b", 0.75)
-    )
+    params = retrieval.Bm25Params(**config.retrieval)
     corpus = retrieval.build_index(documents, params=params, corpus_id=corpus_dir.name)
     index_path = config.path("index_path")
     index_path.parent.mkdir(parents=True, exist_ok=True)
@@ -194,7 +191,7 @@ def collect(ctx: click.Context, problems_path: str | None):
     problems = load_problems(problems_path or config.path("problems_file"))
     generator = _generator_from_config(config)
     oracle = mcts.CheckerOracle(_checker_from_spec(config.oracle, "oracle"))
-    corpus = _load_corpus(config) if "index_path" in config.paths else None
+    corpus = _load_corpus(config)
     cfg = config.mcts_config()
     detector = config.planner_config().answer_detector
 
@@ -277,10 +274,8 @@ def train_critic(ctx: click.Context, kind: str):
         raise click.ClickException(f"{pairs_path} contains no pairs")
     critic = critics_mod.train_reference_critic(
         pairs,
-        featurizer_spec=critics_mod.FeaturizerSpec(dim=config.critics.get("dim", 4096)),
-        epochs=config.training.get("epochs", 200),
-        learning_rate=config.training.get("learning_rate", 0.5),
-        seed=config.seed,
+        featurizer_spec=critics_mod.FeaturizerSpec(**_present(config.critics, "dim")),
+        **config.training,
     )
     critics_dir = config.path("critics_dir")
     critics_dir.mkdir(parents=True, exist_ok=True)
@@ -305,7 +300,7 @@ def solve(ctx: click.Context, problems_path: str | None, critics_mode: str | Non
     problems = load_problems(problems_path or config.path("problems_file"))
     generator = _generator_from_config(config)
     critic_backends = _critics_from_config(config, critics_mode)
-    corpus = _load_corpus(config) if "index_path" in config.paths else None
+    corpus = _load_corpus(config)
     cfg = config.planner_config()
 
     def run_one(problem: ProblemInstance):

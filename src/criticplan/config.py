@@ -7,16 +7,20 @@ replaces critics.url.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .critics import FeaturizerSpec, HttpCritic, train_reference_critic
 from .errors import ConfigurationError
-from .generation import SamplingConfig
+from .evaluation import ExternalCommandChecker
+from .generation import HttpGeneratorBackend, SamplingConfig
 from .mcts import MctsConfig
-from .mdp import answer_detector_from_spec
+from .mdp import SentinelAnswerDetector, answer_detector_from_spec
 from .planner import PlannerConfig
+from .retrieval import Bm25Params
 
 GENERATOR_URL_ENV = "CRITICPLAN_GENERATOR_URL"
 CRITIC_URL_ENV = "CRITICPLAN_CRITIC_URL"
@@ -40,66 +44,70 @@ _SCHEMA: dict[str, set[str] | None] = {
     "seed": None,
 }
 
+# (section, key, default) for each key a section passes by keyword to its
+# owner. Defaults live only on the owners, and a value must have the type of
+# the default it replaces. Built once: `inspect.signature` is slow.
+_TYPED_KEYS = tuple(
+    (section, name, parameter.default)
+    for section, owner in (
+        ("sampling", SamplingConfig),
+        ("retrieval", Bm25Params),
+        ("mcts", MctsConfig),
+        ("planner", PlannerConfig),
+        ("training", train_reference_critic),
+        ("generator", HttpGeneratorBackend),
+        ("critics", HttpCritic),
+        ("critics", FeaturizerSpec),
+        ("oracle", ExternalCommandChecker),
+        ("checker", ExternalCommandChecker),
+        ("answer_detector", SentinelAnswerDetector),
+    )
+    for name, parameter in inspect.signature(owner).parameters.items()
+    if parameter.default not in (None, inspect.Parameter.empty)
+)
+
 
 @dataclass(frozen=True)
 class EngineConfig:
     paths: dict = field(default_factory=dict)
-    generator: dict = field(default_factory=lambda: {"type": "scripted"})
-    critics: dict = field(default_factory=lambda: {"type": "trained"})
-    oracle: dict = field(default_factory=lambda: {"type": "exact_match"})
-    answer_detector: dict = field(default_factory=lambda: {"type": "sentinel"})
+    generator: dict = field(default_factory=dict)
+    critics: dict = field(default_factory=dict)
+    oracle: dict = field(default_factory=dict)
+    answer_detector: dict = field(default_factory=dict)
     sampling: dict = field(default_factory=dict)
     retrieval: dict = field(default_factory=dict)
     mcts: dict = field(default_factory=dict)
     planner: dict = field(default_factory=dict)
     training: dict = field(default_factory=dict)
-    checker: dict = field(default_factory=lambda: {"type": "exact_match"})
+    checker: dict = field(default_factory=dict)
     seed: int = 0
+
+    def __post_init__(self):
+        for section, name, default in _TYPED_KEYS:
+            value = getattr(self, section).get(name, default)
+            expected = (int, float) if isinstance(default, float) else type(default)
+            if isinstance(value, bool) or not isinstance(value, expected):
+                raise ConfigurationError(
+                    f"{section}.{name} must be a {type(default).__name__}, got {value!r}")
+        # Build what needs no files now, so a bad value fails at load.
+        self.mcts_config()
+        self.planner_config()
+        Bm25Params(**self.retrieval)
 
     def path(self, name: str) -> Path:
         if name not in self.paths:
             raise ConfigurationError(f"config is missing paths.{name}")
         return Path(self.paths[name])
 
-    def sampling_config(self) -> SamplingConfig:
-        return SamplingConfig(
-            k=self.sampling.get("k", 3),
-            temperature=self.sampling.get("temperature", 0.7),
-        )
-
     def mcts_config(self) -> MctsConfig:
-        return MctsConfig(
-            iterations=self.mcts.get("iterations", 32),
-            exploration=self.mcts.get("exploration", 2.0 ** 0.5),
-            sampling=self.sampling_config(),
-            horizon=self.mcts.get("horizon", 24),
-            seed=self.seed,
-        )
+        return MctsConfig(**self.mcts, sampling=SamplingConfig(**self.sampling))
 
     def planner_config(self) -> PlannerConfig:
         return PlannerConfig(
-            horizon=self.planner.get("horizon", 24),
-            sampling=self.sampling_config(),
+            **self.planner,
+            sampling=SamplingConfig(**self.sampling),
             answer_detector=answer_detector_from_spec(self.answer_detector),
-            final_retrieval_k=self.planner.get("final_retrieval_k", 10),
         )
-
-    def resolved(self) -> dict:
-        """Plain mapping echoed by every command for provenance."""
-        return {
-            "paths": dict(self.paths),
-            "generator": dict(self.generator),
-            "critics": dict(self.critics),
-            "oracle": dict(self.oracle),
-            "answer_detector": dict(self.answer_detector),
-            "sampling": dict(self.sampling),
-            "retrieval": dict(self.retrieval),
-            "mcts": dict(self.mcts),
-            "planner": dict(self.planner),
-            "training": dict(self.training),
-            "checker": dict(self.checker),
-            "seed": self.seed,
-        }
 
 
 def load_engine_config(path, environ: dict | None = None) -> EngineConfig:

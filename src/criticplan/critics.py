@@ -1,9 +1,10 @@
 """Critic scoring: reward dispatch, preference pairs, and a reference trainer.
 
 Four critic kinds score candidates during planning: one for sub-goal choices
-and one per execution kind. The reference trainable critic is a seeded linear
-scorer over hashed bag-of-words features, optimized with the pairwise ranking
-loss; it exists so the collect -> train -> plan loop can be validated offline.
+and one per execution kind. The reference trainable critic is a deterministic
+linear scorer over hashed bag-of-words features, optimized with the pairwise
+ranking loss; it exists so the collect -> train -> plan loop can be validated
+offline.
 Preference files feed external reward-model trainers unchanged.
 """
 
@@ -255,9 +256,12 @@ class LinearCritic:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if data.get("format") != CRITIC_FORMAT or data.get("version") != CRITIC_VERSION:
             raise ConfigurationError(f"{path}: not a {CRITIC_FORMAT} v{CRITIC_VERSION} file")
+        weights = np.asarray(data["weights"], dtype=np.float64)
+        if weights.shape != (data["dim"],):
+            raise ConfigurationError(f"{path}: {weights.size} weights for dim {data['dim']}")
         return cls(
             kind=CriticKind(data["kind"]),
-            weights=np.asarray(data["weights"], dtype=np.float64),
+            weights=weights,
             featurizer=HashedTextFeaturizer(FeaturizerSpec(dim=data["dim"])),
         )
 
@@ -316,12 +320,11 @@ def train_reference_critic(
     featurizer_spec: FeaturizerSpec = FeaturizerSpec(),
     epochs: int = 200,
     learning_rate: float = 0.5,
-    seed: int = 0,
 ) -> LinearCritic:
     """Fit the linear scorer by full-batch gradient descent on mean pairwise loss.
 
-    Deterministic given the seed; weights start at zero, so epochs = 0 returns
-    a critic that scores everything 0.
+    Deterministic: weights start at zero, so epochs = 0 returns a critic that
+    scores everything 0.
     """
     if not pairs:
         raise TrainingError("no pairs to train on")
@@ -332,10 +335,6 @@ def train_reference_critic(
         raise TrainingError("all pairs are degenerate (chosen text equals rejected text)")
     kind = next(iter(kinds))
     featurizer = HashedTextFeaturizer(featurizer_spec)
-    # Full-batch descent from zero weights is already deterministic; the seed
-    # is accepted so callers can treat every trainer uniformly.
-    del seed
-
     diffs = np.stack(
         [
             featurizer.context_vector(_pair_context(p, chosen=True))

@@ -27,20 +27,14 @@ from .errors import (
 )
 from .mdp import Observation, ObservationKind, State
 
-DEFAULT_K = 3
-DEFAULT_TEMPERATURE = 0.7
-
-# Bounded retries for transient backend failures before the error surfaces.
-BACKEND_ATTEMPTS = 3
-
 REASON_BEGIN, REASON_END = "[BEGIN REASON]", "[END REASON]"
 QUERY_BEGIN, QUERY_END = "[BEGIN QUERY]", "[END QUERY]"
 
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    k: int = DEFAULT_K
-    temperature: float = DEFAULT_TEMPERATURE
+    k: int = 3
+    temperature: float = 0.7
 
     def __post_init__(self):
         if self.k < 1:
@@ -55,7 +49,9 @@ class GeneratorBackend(Protocol):
     `sample` returns between 1 and k non-empty strings; `conclude` returns a
     single completion. Backends that support seeding must be deterministic for
     a fixed seed. `conclude` must be deterministic per prompt; MCTS reuses its
-    first result for a node.
+    first result for a node. The operations here call a backend once and do
+    not retry a `BackendError`; a backend with transient failures retries
+    inside itself (`HttpGeneratorBackend.retries`).
     """
 
     def sample(self, prompt: str, k: int, temperature: float) -> list[str]: ...
@@ -107,22 +103,20 @@ def _preceding_rationales_block(state: State) -> str:
     return f"\n[START PRECEDING RATIONALES]\n{joined}\n[END PRECEDING RATIONALES]\n"
 
 
-def render_rationale_prompt(state: State, template: PromptTemplate | None = None) -> str:
+def render_rationale_prompt(state: State) -> str:
     """Problem statement plus prior rationales and documents, in trajectory order."""
-    template = template or load_template("rationale")
-    return template.render(
+    return load_template("rationale").render(
         problem=state.problem.statement,
         preceding_rationales=_preceding_rationales_block(state),
     )
 
 
-def render_query_prompt(state: State, template: PromptTemplate | None = None) -> str:
+def render_query_prompt(state: State) -> str:
     """Query-generation prompt built from the immediately preceding rationale."""
-    template = template or load_template("query")
     rationale = state.latest(ObservationKind.RATIONALE)
     if rationale is None:
         raise MissingRationaleError("query generation requires a preceding rationale")
-    return template.render(last_rationale=rationale.text)
+    return load_template("query").render(last_rationale=rationale.text)
 
 
 def render_conclusion_prompt(state: State) -> str:
@@ -145,17 +139,6 @@ def _strip_delimiters(text: str, begin: str, end: str) -> str:
     return stripped.strip()
 
 
-def _with_retries(call, *args):
-    """`call(*args)`, tried up to BACKEND_ATTEMPTS times while it raises BackendError."""
-    last_error: BackendError | None = None
-    for _ in range(BACKEND_ATTEMPTS):
-        try:
-            return call(*args)
-        except BackendError as err:
-            last_error = err
-    raise last_error
-
-
 def _dedup(texts: Sequence[str]) -> list[str]:
     seen: set[str] = set()
     out = []
@@ -176,7 +159,7 @@ def _sample_observations(
     kind: ObservationKind,
 ) -> list[Observation]:
     prompt = render(state)
-    raw = _with_retries(backend.sample, prompt, cfg.k, cfg.temperature)
+    raw = backend.sample(prompt, cfg.k, cfg.temperature)
     texts = _dedup([_strip_delimiters(t, begin, end) for t in raw])
     if not texts:
         raise EmptyCandidatesError(f"no usable {kind.value} candidates after stripping")
@@ -238,7 +221,7 @@ def candidates_for(
 
 def conclude(state: State, backend: GeneratorBackend) -> str:
     """Generate a final answer from the observations collected so far."""
-    return _with_retries(backend.conclude, render_conclusion_prompt(state))
+    return backend.conclude(render_conclusion_prompt(state))
 
 
 # --------------------------------------------------------------------- backends
@@ -354,8 +337,9 @@ class HttpGeneratorBackend:
     """Remote generator speaking the minimal JSON protocol.
 
     Request: {"prompt": str, "k": int, "temperature": float, "seed": int?}
-    Response: {"candidates": [str, ...]}; conclude uses k = 1. Timeout and
-    per-call retry count come from the engine config.
+    Response: {"candidates": [str, ...]}; conclude uses k = 1. A request that
+    fails in transport is sent again up to `retries` times, so one `sample` or
+    `conclude` makes at most `retries + 1` requests. No other layer retries.
     """
 
     base_url: str

@@ -38,6 +38,7 @@ from .mdp import (
     Action,
     AnswerDetector,
     ChooseCandidate,
+    DEFAULT_HORIZON,
     NEVER_DETECT,
     Observation,
     ProblemInstance,
@@ -50,9 +51,6 @@ from .mdp import (
     text_digest,
 )
 
-DEFAULT_ITERATIONS = 32
-DEFAULT_EXPLORATION = math.sqrt(2)
-
 # Fraction of iterations allowed to abort on backend failures before the
 # whole run is declared failed.
 MAX_ABORT_FRACTION = 0.25
@@ -63,11 +61,10 @@ TREE_DUMP_VERSION = 1
 
 @dataclass(frozen=True)
 class MctsConfig:
-    iterations: int = DEFAULT_ITERATIONS
-    exploration: float = DEFAULT_EXPLORATION
+    iterations: int = 32
+    exploration: float = math.sqrt(2)
     sampling: SamplingConfig = SamplingConfig()
-    horizon: int = 24
-    seed: int = 0
+    horizon: int = DEFAULT_HORIZON
 
     def __post_init__(self):
         if self.iterations < 1:

@@ -352,7 +352,9 @@ def answer_detector_from_spec(spec: dict) -> AnswerDetector:
     """Build a detector from a config mapping: {"type": "sentinel"|"regex"|"never", ...}."""
     kind = spec.get("type", "sentinel")
     if kind == "sentinel":
-        return SentinelAnswerDetector(sentinel=spec.get("sentinel", "```python"))
+        if "sentinel" in spec:
+            return SentinelAnswerDetector(sentinel=spec["sentinel"])
+        return SentinelAnswerDetector()
     if kind == "regex":
         if "pattern" not in spec:
             raise ContractViolationError("regex answer detector requires 'pattern'")

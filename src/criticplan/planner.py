@@ -22,6 +22,7 @@ from .generation import GeneratorBackend, SamplingConfig
 from .mdp import (
     AnswerDetector,
     ChooseCandidate,
+    DEFAULT_HORIZON,
     Observation,
     ObservationKind,
     ProblemInstance,
@@ -40,7 +41,7 @@ from .mdp import (
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    horizon: int = 24
+    horizon: int = DEFAULT_HORIZON
     sampling: SamplingConfig = SamplingConfig()
     answer_detector: AnswerDetector = SentinelAnswerDetector()
     final_retrieval_k: int = 10

@@ -65,15 +65,30 @@ def state_after_query(problem):
 
 
 @contextlib.contextmanager
-def serve_fixed_reply(body: str, declared_length: int | None = None):
+def serve_fixed_reply(
+    body: str,
+    declared_length: int | None = None,
+    fail_first: int = 0,
+    statuses: list[int] | None = None,
+):
     """Loopback HTTP server answering every POST with `body`; yields its URL.
 
     `declared_length` overrides the Content-Length header (a truncated reply).
+    The first `fail_first` requests get an empty 503 instead; the status of
+    every reply is appended to `statuses`.
     """
+    statuses = [] if statuses is None else statuses
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
             self.rfile.read(int(self.headers["Content-Length"]))
+            failing = len(statuses) < fail_first
+            statuses.append(503 if failing else 200)
+            if failing:
+                self.send_response(503)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+                return
             payload = body.encode("utf-8")
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
@@ -85,7 +100,10 @@ def serve_fixed_reply(body: str, declared_length: int | None = None):
             pass
 
     server = HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval lets shutdown() return at once instead of after 0.5 s.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}/"

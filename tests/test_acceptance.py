@@ -79,9 +79,9 @@ def test_a1_mcts_bookkeeping():
         toy = reasoning_toy(1, n_candidates=n_candidates, start=500 + suite_index)
         suite_index += 1
         iters = rng.randint(20, 50)
+        rng.randint(0, 10_000)  # unused; keeps the toys and iteration counts drawn after it
         cfg = MctsConfig(
-            iterations=iters, sampling=SamplingConfig(k=n_candidates), horizon=toy.horizon,
-            seed=rng.randint(0, 10_000),
+            iterations=iters, sampling=SamplingConfig(k=n_candidates), horizon=toy.horizon
         )
         run_mcts(toy.problems[0], toy.backend, CheckerOracle(), cfg, iteration_hook=check)
         total += iters

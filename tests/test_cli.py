@@ -1,14 +1,33 @@
 from __future__ import annotations
 
+import inspect
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from criticplan.cli import main
-from criticplan.critics import CriticKind
-from criticplan.errors import CriticPlanError
+from criticplan import cli
+from criticplan.cli import load_problems, main
+from criticplan.config import load_engine_config
+from criticplan.critics import (
+    CriticKind,
+    FeaturizerSpec,
+    HashedTextFeaturizer,
+    HttpCritic,
+    LinearCritic,
+    train_reference_critic,
+)
+from criticplan.errors import ConfigurationError, CriticPlanError
+from criticplan.evaluation import ExternalCommandChecker
+from criticplan.generation import HttpGeneratorBackend, SamplingConfig
+from criticplan.mcts import MctsConfig
+from criticplan.planner import PlannerConfig
+from criticplan.retrieval import Bm25Params
 from tests._toys import lookup_toy, ranking_toy, reasoning_toy, write_workspace
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -108,14 +127,103 @@ class TestConfig:
         assert isinstance(result.exception, CriticPlanError)
         assert f"retrieval.{key}" in str(result.exception)
 
-    def test_generator_env_override(self, tmp_path, monkeypatch):
-        from criticplan.config import load_engine_config
+    @pytest.mark.parametrize("section, key, value", [
+        ("sampling", "k", "3"),
+        ("sampling", "temperature", "hot"),
+        ("mcts", "iterations", "32"),
+        ("mcts", "exploration", None),
+        ("planner", "horizon", None),
+        ("planner", "final_retrieval_k", 10.0),
+        ("training", "epochs", "200"),
+        ("training", "learning_rate", True),
+        ("generator", "retries", "2"),
+        ("critics", "dim", "4096"),
+        ("oracle", "timeout", "60"),
+        ("answer_detector", "sentinel", 7),
+    ])
+    def test_wrong_typed_value_names_config_key(self, tmp_path, section, key, value):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({section: {key: value}}))
+        with pytest.raises(ConfigurationError, match=f"{section}.{key}"):
+            load_engine_config(config_path, environ={})
 
+    def test_empty_config_builds_owner_defaults(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text("{}")
+        config = load_engine_config(config_path, environ={})
+        assert config.mcts_config() == MctsConfig(sampling=SamplingConfig())
+        assert config.planner_config() == PlannerConfig()
+        assert Bm25Params(**config.retrieval) == Bm25Params()
+        assert config.training == {}
+        url = "http://127.0.0.1:1/"
+        endpoint = {"type": "http", "url": url}
+        config_path.write_text(json.dumps({"generator": endpoint, "critics": endpoint}))
+        http = load_engine_config(config_path, environ={})
+        assert cli._generator_from_config(http) == HttpGeneratorBackend(base_url=url, seed=0)
+        assert set(cli._critics_from_config(http).values()) == {HttpCritic(base_url=url)}
+        checker = cli._checker_from_spec({"type": "command", "command": ["true"]}, "checker")
+        assert checker == ExternalCommandChecker(command=("true",))
+
+    def test_readme_example_config_is_the_defaults(self, tmp_path):
+        text = README.read_text(encoding="utf-8").split("### Config file", 1)[1]
+        example = json.loads(text.split("```json\n", 1)[1].split("\n```\n", 1)[0])
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(example))
+        documented = load_engine_config(config_path, environ={})
+        config_path.write_text("{}")
+        empty = load_engine_config(config_path, environ={})
+        assert documented.mcts_config() == empty.mcts_config()
+        assert documented.planner_config() == empty.planner_config()
+        assert Bm25Params(**documented.retrieval) == Bm25Params(**empty.retrieval)
+        trainer = inspect.signature(train_reference_critic).parameters
+        assert documented.training == {k: trainer[k].default for k in documented.training}
+        assert set(documented.training) == {"epochs", "learning_rate"}
+
+    @pytest.mark.parametrize("section", ["oracle", "checker"])
+    @pytest.mark.parametrize("command", [{}, {"command": "true"}, {"command": []}])
+    def test_command_checker_without_command_list_names_key(self, section, command):
+        with pytest.raises(ConfigurationError, match=f"{section}.command"):
+            cli._checker_from_spec({"type": "command", **command}, section)
+
+    def test_critic_file_of_another_kind_rejected(self, tmp_path):
+        critics_dir = tmp_path / "critics"
+        critics_dir.mkdir()
+        featurizer = HashedTextFeaturizer(FeaturizerSpec(dim=8))
+        for kind in CriticKind:
+            stored = CriticKind.DOC if kind is CriticKind.QUERY else kind
+            LinearCritic(stored, np.zeros(8), featurizer).save(
+                critics_dir / f"critic_{kind.value}.json"
+            )
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"paths": {"critics_dir": str(critics_dir)}}))
+        config = load_engine_config(config_path, environ={})
+        with pytest.raises(ConfigurationError, match="critic_query.json"):
+            cli._critics_from_config(config)
+
+    def test_generator_env_override(self, tmp_path, monkeypatch):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"generator": {"type": "http"}}))
         monkeypatch.setenv("CRITICPLAN_GENERATOR_URL", "http://elsewhere:9999")
         config = load_engine_config(config_path)
         assert config.generator["url"] == "http://elsewhere:9999"
+
+
+class TestLoadProblems:
+    GOOD = '{"problem_id": "p1", "statement": "what?", "gold_label": "x"}'
+
+    @pytest.mark.parametrize("bad_line, message", [
+        ("not json", "Expecting value"),
+        ('{"problem_id": "p2"}', "missing key 'statement'"),
+        ('{"problem_id": "p2", "statement": "s", "task_kind": "bogus"}', "bogus"),
+        ('{"problem_id": "p2", "statement": ""}', "statement"),
+        ("[1, 2]", "list"),
+    ])
+    def test_bad_line_names_file_and_line(self, tmp_path, bad_line, message):
+        path = tmp_path / "problems.jsonl"
+        path.write_text(f"{self.GOOD}\n\n{bad_line}\n")
+        with pytest.raises(ConfigurationError, match=message) as err:
+            load_problems(path)
+        assert f"{path}:3:" in str(err.value)
 
 
 class TestCollectCommand:

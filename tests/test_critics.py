@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -231,7 +232,7 @@ class TestTrainReferenceCritic:
         rng = random.Random(5)
         train = self._synthetic_pairs(60, rng)
         held_out = self._synthetic_pairs(20, rng)
-        critic = train_reference_critic(train, epochs=120, learning_rate=0.5, seed=0)
+        critic = train_reference_critic(train, epochs=120, learning_rate=0.5)
         assert pairwise_accuracy(critic, held_out) == 1.0
 
     def test_zero_epochs_scores_zero_and_ln2_loss(self):
@@ -258,8 +259,8 @@ class TestTrainReferenceCritic:
 
     def test_deterministic_given_seed(self):
         pairs = self._synthetic_pairs(20, random.Random(2))
-        first = train_reference_critic(pairs, epochs=30, seed=42)
-        second = train_reference_critic(pairs, epochs=30, seed=42)
+        first = train_reference_critic(pairs, epochs=30)
+        second = train_reference_critic(pairs, epochs=30)
         assert (first.weights == second.weights).all()
 
     def test_empty_pairs_rejected(self):
@@ -292,6 +293,15 @@ class TestTrainReferenceCritic:
             candidate=rationale("GOOD solid"),
         )
         assert loaded.score(ctx) == pytest.approx(critic.score(ctx))
+
+    def test_load_rejects_weights_not_matching_dim(self, tmp_path):
+        path = tmp_path / "critic.json"
+        path.write_text(json.dumps({
+            "format": "linear-critic", "version": 1, "kind": "doc",
+            "dim": 8, "weights": [0.1, 0.2, 0.3],
+        }))
+        with pytest.raises(ConfigurationError, match="critic.json: 3 weights"):
+            LinearCritic.load(path)
 
 
 class TestArgmaxInvariance:

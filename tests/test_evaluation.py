@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from criticplan.errors import ContractViolationError
+from criticplan.errors import ConfigurationError, ContractViolationError
 from criticplan.evaluation import (
     ExternalCommandChecker,
     NormalizedExactMatchChecker,
@@ -162,6 +162,18 @@ class TestReports:
         )
         judgments = load_judgments(path)
         assert judgments == {"p1": {"a", "b"}, "p2": set()}
+
+    @pytest.mark.parametrize("bad_line, message", [
+        ("{not json", "Expecting property name"),
+        ('{"problem_id": "p2"}', "missing key 'relevant_doc_ids'"),
+        ('{"problem_id": "p2", "relevant_doc_ids": 5}', "not iterable"),
+    ])
+    def test_load_judgments_bad_line_names_file_and_line(self, tmp_path, bad_line, message):
+        path = tmp_path / "judgments.jsonl"
+        path.write_text(f'{{"problem_id": "p1", "relevant_doc_ids": ["a"]}}\n{bad_line}\n')
+        with pytest.raises(ConfigurationError, match=message) as err:
+            load_judgments(path)
+        assert f"{path}:2:" in str(err.value)
 
     def test_ranking_report_mean(self):
         mean, per_problem = ranking_report(

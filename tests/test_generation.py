@@ -165,18 +165,23 @@ class TestSampleRationales:
             sample_rationales(state, scripted(["x"]), SamplingConfig())
 
     def test_transient_failures_retried(self, problem):
+        # Retrying is the backend's job (HttpGeneratorBackend.retries); a
+        # failure reaches the caller after one call.
         state = advance_subgoal(root_state(problem), SubGoal.REASONING)
-        backend = FailingBackend(failures=2, then=["ok"])
+        backend = FailingBackend(failures=1, then=["ok"])
+        with pytest.raises(BackendError):
+            sample_rationales(state, backend, SamplingConfig())
+        assert backend.calls == 1
         observations = sample_rationales(state, backend, SamplingConfig())
         assert [o.text for o in observations] == ["ok"]
-        assert backend.calls == 3
+        assert backend.calls == 2
 
     def test_persistent_failure_surfaces(self, problem):
         state = advance_subgoal(root_state(problem), SubGoal.REASONING)
         backend = FailingBackend(failures=10)
         with pytest.raises(BackendError):
             sample_rationales(state, backend, SamplingConfig())
-        assert backend.calls == 3
+        assert backend.calls == 1
 
     def test_candidate_count_capped_at_k(self, problem):
         state = advance_subgoal(root_state(problem), SubGoal.REASONING)
@@ -202,8 +207,10 @@ class TestSampleQueries:
 
     def test_timeout_on_all_retries(self, state_after_rationale):
         state = advance_subgoal(state_after_rationale, SubGoal.QUERYING)
+        backend = FailingBackend(failures=99)
         with pytest.raises(BackendError):
-            sample_queries(state, FailingBackend(failures=99), SamplingConfig())
+            sample_queries(state, backend, SamplingConfig())
+        assert backend.calls == 1
 
 
 class TestConclude:
@@ -301,6 +308,29 @@ class TestHttpBackend:
             backend = HttpGeneratorBackend(base_url=url, timeout=2.0, retries=1)
             with pytest.raises(BackendError, match="generator endpoint failed"):
                 backend.sample("x", 1, 0.0)
+
+
+class TestRetries:
+    """`retries` N gives each generator call exactly N + 1 requests."""
+
+    @pytest.mark.parametrize("failures", [1, 2, 3])
+    def test_retries_n_survives_n_failures(self, problem, failures):
+        statuses = []
+        reply = '{"candidates": ["two"]}'
+        with serve_fixed_reply(reply, fail_first=failures, statuses=statuses) as url:
+            backend = HttpGeneratorBackend(base_url=url, timeout=2.0, retries=failures)
+            assert conclude(root_state(problem), backend) == "two"
+        assert statuses == [503] * failures + [200]
+
+    @pytest.mark.parametrize("failures", [1, 2, 3])
+    def test_retries_below_n_fails_after_n_requests(self, problem, failures):
+        statuses = []
+        reply = '{"candidates": ["two"]}'
+        with serve_fixed_reply(reply, fail_first=failures, statuses=statuses) as url:
+            backend = HttpGeneratorBackend(base_url=url, timeout=2.0, retries=failures - 1)
+            with pytest.raises(BackendError, match="503"):
+                conclude(root_state(problem), backend)
+        assert statuses == [503] * failures
 
 
 class TestCandidatesFor:
