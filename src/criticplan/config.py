@@ -93,6 +93,8 @@ class EngineConfig:
         self.mcts_config()
         self.planner_config()
         Bm25Params(**self.retrieval)
+        if "retries" in self.generator:
+            HttpGeneratorBackend(base_url="", retries=self.generator["retries"])
 
     def path(self, name: str) -> Path:
         if name not in self.paths:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import math
 import zlib
+from collections import Counter
+from itertools import chain
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -201,23 +203,20 @@ class FeaturizerSpec:
 class HashedTextFeaturizer:
     """Hashed bag-of-words over the concatenated context and candidate text.
 
-    Token hashing uses crc32 so vectors are stable across processes.
+    Token hashing uses crc32 so features are stable across processes.
     """
 
     def __init__(self, spec: FeaturizerSpec):
         self.spec = spec
 
-    def vector(self, texts: Iterable[str]) -> np.ndarray:
-        v = np.zeros(self.spec.dim, dtype=np.float64)
-        for text in texts:
-            for token in text.lower().split():
-                v[zlib.crc32(token.encode("utf-8")) % self.spec.dim] += 1.0
-        return v
-
-    def context_vector(self, ctx: CriticContext) -> np.ndarray:
-        texts = [obs.text for obs in ctx.context_observations]
-        texts.append(ctx.candidate.text)
-        return self.vector(texts)
+    def sparse(self, texts: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Nonzero buckets of `texts`: increasing int64 indices, float64 counts."""
+        tokens = chain.from_iterable(text.lower().split() for text in texts)
+        # crc32(utf-8 token) % dim per token, with the loop run by `map` in C.
+        counts = Counter(map(self.spec.dim.__rmod__, map(zlib.crc32, map(str.encode, tokens))))
+        indices = np.fromiter(counts, np.int64, len(counts))
+        order = indices.argsort()
+        return indices[order], np.fromiter(counts.values(), np.float64, len(counts))[order]
 
 
 class LinearCritic:
@@ -236,7 +235,10 @@ class LinearCritic:
         self.training_loss = training_loss
 
     def score(self, ctx: CriticContext) -> float:
-        return float(self.weights @ self.featurizer.context_vector(ctx))
+        """Sum of count x weight over its buckets, rounded once: no BLAS or order effects."""
+        texts = [obs.text for obs in ctx.context_observations] + [ctx.candidate.text]
+        indices, counts = self.featurizer.sparse(texts)
+        return math.fsum((counts * self.weights[indices]).tolist())
 
     def save(self, path) -> None:
         payload = {
@@ -335,21 +337,26 @@ def train_reference_critic(
         raise TrainingError("all pairs are degenerate (chosen text equals rejected text)")
     kind = next(iter(kinds))
     featurizer = HashedTextFeaturizer(featurizer_spec)
-    diffs = np.stack(
-        [
-            featurizer.context_vector(_pair_context(p, chosen=True))
-            - featurizer.context_vector(_pair_context(p, chosen=False))
-            for p in pairs
-        ]
-    )
-    weights = np.zeros(featurizer_spec.dim, dtype=np.float64)
+    dim, n = featurizer_spec.dim, len(pairs)
+    # CSR rows of the chosen - rejected diffs; the shared context cancels exactly.
+    keys, signed = [], []
+    for row, pair in enumerate(pairs):
+        for text, sign in ((pair.chosen.text, 1.0), (pair.rejected.text, -1.0)):
+            indices, counts = featurizer.sparse([text])
+            keys.append(row * dim + indices)
+            signed.append(sign * counts)
+    keys, where = np.unique(np.concatenate(keys), return_inverse=True)
+    vals = np.bincount(where, np.concatenate(signed))
+    keep = vals != 0.0
+    (rows, cols), vals = np.divmod(keys[keep], dim), vals[keep]
+    weights = np.zeros(dim, dtype=np.float64)
     history = []
     for _ in range(epochs):
-        margins = diffs @ weights
+        margins = np.bincount(rows, vals * weights[cols], minlength=n)
         history.append(float(np.mean(np.logaddexp(0.0, -margins))))
-        grad = ((_sigmoid(margins) - 1.0)[:, None] * diffs).mean(axis=0)
-        weights -= learning_rate * grad
-    margins = diffs @ weights
+        coef = _sigmoid(margins) - 1.0
+        weights -= learning_rate * (np.bincount(cols, vals * coef[rows], minlength=dim) / n)
+    margins = np.bincount(rows, vals * weights[cols], minlength=n)
     history.append(float(np.mean(np.logaddexp(0.0, -margins))))
     return LinearCritic(kind=kind, weights=weights, featurizer=featurizer,
                         training_loss=tuple(history))

@@ -11,6 +11,7 @@ import functools
 import http.client
 import json
 import re
+import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from importlib import resources
@@ -322,6 +323,8 @@ def post_json(url: str, payload: dict, timeout: float, attempts: int, what: str)
             with urllib.request.urlopen(request, timeout=timeout) as response:
                 data = json.loads(response.read().decode("utf-8"))
         except (OSError, http.client.HTTPException, ValueError) as err:
+            if isinstance(err, urllib.error.HTTPError):
+                err.close()  # an error reply holds its socket open until closed
             last_error = err
             continue
         if not isinstance(data, dict):
@@ -346,6 +349,10 @@ class HttpGeneratorBackend:
     timeout: float = 30.0
     retries: int = 2
     seed: int | None = None
+
+    def __post_init__(self):
+        if self.retries < 0:
+            raise ConfigurationError(f"generator.retries must be >= 0, got {self.retries}")
 
     def sample(self, prompt: str, k: int, temperature: float) -> list[str]:
         payload = {"prompt": prompt, "k": k, "temperature": temperature}

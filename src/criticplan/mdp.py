@@ -16,6 +16,7 @@ from enum import Enum
 from typing import Protocol, Sequence, Union
 
 from .errors import (
+    ConfigurationError,
     ContractViolationError,
     HorizonExceededError,
     TerminalStateError,
@@ -339,10 +340,20 @@ class SentinelAnswerDetector:
 
 @dataclass(frozen=True)
 class RegexAnswerDetector:
+    """Fires when `pattern`, compiled once here, matches the observation text."""
+
     pattern: str
 
+    def __post_init__(self):
+        if not isinstance(self.pattern, str):
+            raise ConfigurationError(f"answer_detector.pattern must be a str, got {self.pattern!r}")
+        try:
+            object.__setattr__(self, "_regex", re.compile(self.pattern))
+        except re.error as err:
+            raise ConfigurationError(f"answer_detector.pattern {self.pattern!r}: {err}") from None
+
     def __call__(self, observation: Observation) -> bool:
-        return re.search(self.pattern, observation.text) is not None
+        return self._regex.search(observation.text) is not None
 
 
 NEVER_DETECT = SentinelAnswerDetector(sentinel="\x00never\x00")

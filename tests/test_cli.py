@@ -118,7 +118,7 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [("k1", "1.2"), ("b", True), ("k1", None)])
     def test_non_number_bm25_param_names_config_key(self, runner, tmp_path, key, value):
         config_path = mixed_suite(tmp_path)
-        config = json.loads(open(config_path, encoding="utf-8").read())
+        config = json.loads(Path(config_path).read_text(encoding="utf-8"))
         config["retrieval"] = {key: value}
         with open(config_path, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
@@ -145,6 +145,17 @@ class TestConfig:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({section: {key: value}}))
         with pytest.raises(ConfigurationError, match=f"{section}.{key}"):
+            load_engine_config(config_path, environ={})
+
+    @pytest.mark.parametrize("key, config", [
+        ("answer_detector.pattern", {"answer_detector": {"type": "regex", "pattern": "("}}),
+        ("answer_detector.pattern", {"answer_detector": {"type": "regex", "pattern": 5}}),
+        ("generator.retries", {"generator": {"retries": -1}}),
+    ])
+    def test_invalid_value_names_config_key_at_load(self, tmp_path, key, config):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        with pytest.raises(ConfigurationError, match=key):
             load_engine_config(config_path, environ={})
 
     def test_empty_config_builds_owner_defaults(self, tmp_path):

@@ -3,15 +3,19 @@ from __future__ import annotations
 import json
 import math
 import random
+import zlib
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from criticplan.critics import (
     ConstantCritic,
     CriticContext,
     CriticKind,
+    FeaturizerSpec,
+    HashedTextFeaturizer,
     LinearCritic,
     LookupCritic,
     LookupRule,
@@ -304,6 +308,102 @@ class TestTrainReferenceCritic:
             LinearCritic.load(path)
 
 
+def dense_vector(spec: FeaturizerSpec, texts) -> np.ndarray:
+    """Reference featurizer: a full `dim` vector of hashed token counts."""
+    v = np.zeros(spec.dim, dtype=np.float64)
+    for text in texts:
+        for token in text.lower().split():
+            v[zlib.crc32(token.encode("utf-8")) % spec.dim] += 1.0
+    return v
+
+
+def dense_context_vector(spec: FeaturizerSpec, ctx: CriticContext) -> np.ndarray:
+    return dense_vector(spec, [o.text for o in ctx.context_observations] + [ctx.candidate.text])
+
+
+def dense_train(pairs, spec: FeaturizerSpec, epochs: int, learning_rate: float):
+    """Reference trainer: full-batch descent over the dense `pairs x dim` diff matrix."""
+
+    def side(pair, candidate):
+        return dense_vector(spec, [o.text for o in pair.context_observations] + [candidate.text])
+
+    diffs = np.stack([side(p, p.chosen) - side(p, p.rejected) for p in pairs])
+    weights = np.zeros(spec.dim, dtype=np.float64)
+    history = []
+    for _ in range(epochs):
+        margins = diffs @ weights
+        history.append(float(np.mean(np.logaddexp(0.0, -margins))))
+        sigmoid = 1.0 / (1.0 + np.exp(-margins))
+        weights -= learning_rate * ((sigmoid - 1.0)[:, None] * diffs).mean(axis=0)
+    history.append(float(np.mean(np.logaddexp(0.0, -(diffs @ weights)))))
+    return weights, history
+
+
+# Few words, mixed case and repeats: texts share tokens and buckets collide.
+_words = st.sampled_from(["alpha", "Beta", "gamma", "ALPHA", "delta", "x", "7", "beta"])
+_texts = st.lists(_words, max_size=8).map(" ".join)
+_pair_sets = st.tuples(
+    st.sampled_from(list(CriticKind)),
+    st.lists(st.tuples(st.lists(_texts, max_size=3), _texts, _texts), min_size=1, max_size=8),
+)
+_dims = st.sampled_from([2, 3, 7, 64, 4096])
+
+
+class TestSparseFeatures:
+    """The sparse featurizer, trainer and scorer against the dense references."""
+
+    @given(_dims, st.lists(_texts, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_sparse_is_the_dense_vectors_nonzeros(self, dim, texts):
+        spec = FeaturizerSpec(dim=dim)
+        indices, counts = HashedTextFeaturizer(spec).sparse(texts)
+        dense = dense_vector(spec, texts)
+        assert indices.dtype == np.int64 and counts.dtype == np.float64
+        assert (np.diff(indices) > 0).all()
+        assert indices.tolist() == np.flatnonzero(dense).tolist()
+        assert counts.tolist() == dense[indices].tolist()
+
+    @given(
+        _pair_sets,
+        _dims,
+        st.integers(min_value=0, max_value=40),
+        st.floats(min_value=0.01, max_value=1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_training_matches_dense_oracle(self, pair_set, dim, epochs, learning_rate):
+        kind, raw = pair_set
+        pairs = [
+            make_pair(kind, chosen, rejected, context=[rationale(t) for t in context])
+            for context, chosen, rejected in raw
+        ]
+        assume(any(p.chosen.text != p.rejected.text for p in pairs))
+        spec = FeaturizerSpec(dim=dim)
+        critic = train_reference_critic(pairs, spec, epochs, learning_rate)
+        weights, history = dense_train(pairs, spec, epochs, learning_rate)
+        assert np.abs(critic.weights - weights).max() <= 1e-12
+        assert len(critic.training_loss) == epochs + 1
+        assert np.abs(np.array(critic.training_loss) - history).max() <= 1e-12
+        if epochs == 0:
+            assert not critic.weights.any()
+            assert critic.training_loss == (pytest.approx(math.log(2), abs=1e-15),)
+        for pair in pairs:
+            for candidate in (pair.chosen, pair.rejected):
+                ctx = CriticContext(kind, "", pair.context_observations, candidate)
+                dense = float(critic.weights @ dense_context_vector(spec, ctx))
+                assert abs(critic.score(ctx) - dense) <= 1e-12
+
+    @given(_dims, st.lists(_texts, max_size=4), _texts, st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_score_matches_dense_dot(self, dim, context, candidate, seed):
+        spec = FeaturizerSpec(dim=dim)
+        weights = np.random.default_rng(seed).normal(size=dim)
+        critic = LinearCritic(CriticKind.RATIONALE, weights, HashedTextFeaturizer(spec))
+        ctx = CriticContext(
+            CriticKind.RATIONALE, "", tuple(rationale(t) for t in context), rationale(candidate)
+        )
+        assert abs(critic.score(ctx) - float(weights @ dense_context_vector(spec, ctx))) <= 1e-12
+
+
 class TestArgmaxInvariance:
     def test_monotone_transform_preserves_selection(self, problem):
         state = advance_subgoal(root_state(problem), SubGoal.REASONING)
@@ -486,6 +586,7 @@ def test_http_critic_wire_format():
         assert request["candidate"] == {"kind": "query", "text": "seven77", "doc_id": None}
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_http_critic_unreachable_is_backend_error():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import json
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -22,6 +24,7 @@ from criticplan.generation import (
     candidates_for,
     conclude,
     load_template,
+    post_json,
     render_conclusion_prompt,
     render_query_prompt,
     render_rationale_prompt,
@@ -274,6 +277,7 @@ def http_server():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpBackend:
@@ -331,6 +335,15 @@ class TestRetries:
             with pytest.raises(BackendError, match="503"):
                 conclude(root_state(problem), backend)
         assert statuses == [503] * failures
+
+    def test_error_replies_are_closed(self):
+        with serve_fixed_reply("{}", fail_first=3) as url:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                with pytest.raises(BackendError, match="503"):
+                    post_json(url, {}, 2.0, 3, "generator")
+                gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 class TestCandidatesFor:
