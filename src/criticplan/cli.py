@@ -12,29 +12,18 @@ import json
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from datetime import datetime, timezone
 from pathlib import Path
 
 import click
 
 from . import critics as critics_mod
-from . import evaluation, generation, mcts, planner, retrieval
+from . import evaluation, generation, mcts, planner, records, retrieval
 from .config import EngineConfig, load_engine_config
 from .critics import CriticKind, LinearCritic, import_pairs, pairs_filename
 from .errors import ConfigurationError, CriticPlanError, SearchRunError
 from .mdp import ProblemInstance, TaskKind, format_trajectory_log
 
 logger = logging.getLogger(__name__)
-
-
-def _header_line(format_name: str, seed: int) -> str:
-    header = {
-        "format": format_name,
-        "version": 1,
-        "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "seed": seed,
-    }
-    return json.dumps(header, ensure_ascii=False, separators=(",", ":"))
 
 
 def _echo_config(config: EngineConfig) -> None:
@@ -47,12 +36,12 @@ def load_problems(path) -> list[ProblemInstance]:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"problems file not found: {path}")
-    return evaluation.read_records(path, lambda record: ProblemInstance(
+    return records.read(path, lambda record: ProblemInstance(
         problem_id=str(record["problem_id"]),
         statement=record["statement"],
         gold_label=record.get("gold_label", ""),
         task_kind=TaskKind(record.get("task_kind", "answer_match")),
-    ))
+    ), ConfigurationError)
 
 
 def _present(spec: dict, *keys: str) -> dict:
@@ -313,42 +302,40 @@ def solve(ctx: click.Context, problems_path: str | None, critics_mode: str | Non
         return planner.solve(problem, critic_backends, generator, cfg, corpus=corpus)
 
     problems = sorted(problems, key=lambda p: p.problem_id)
-    results: dict[str, object] = {}
     with ThreadPoolExecutor(max_workers=ctx.obj["parallel"]) as pool:
-        futures = {p.problem_id: pool.submit(run_one, p) for p in problems}
-        for problem in problems:
-            results[problem.problem_id] = futures[problem.problem_id].result()
+        futures = [pool.submit(run_one, p) for p in problems]
+        solved = [future.result() for future in futures]
 
     output_dir = config.path("output_dir")
     output_dir.mkdir(parents=True, exist_ok=True)
-    with open(output_dir / "results.jsonl", "w", encoding="utf-8") as results_fh, \
-         open(output_dir / "decisions.jsonl", "w", encoding="utf-8") as decisions_fh, \
-         open(output_dir / "trajectories.jsonl", "w", encoding="utf-8") as trajectories_fh:
-        results_fh.write(_header_line("solve-results", config.seed) + "\n")
-        decisions_fh.write(_header_line("decision-log", config.seed) + "\n")
-        trajectories_fh.write(_header_line("trajectory-log", config.seed) + "\n")
-        for problem in problems:
-            result = results[problem.problem_id]
-            if isinstance(result, planner.RankingResult):
-                record = {
-                    "problem_id": result.problem_id,
-                    "task": "retrieval_ranking",
-                    "doc_ids": list(result.doc_ids),
-                    "query_used": result.query_used,
-                    "fallback": result.fallback,
-                }
-            else:
-                record = {
-                    "problem_id": result.problem_id,
-                    "task": "answer_match",
-                    "final_answer": result.final_answer,
-                    "terminated_by": result.terminated_by.value,
-                }
-            results_fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
-            decisions_fh.write(planner.format_decision_log(result))
-            trajectories_fh.write(format_trajectory_log(result.trajectory))
-    click.echo(f"solved: {len(results)}")
+    for name, format_name, render in (
+        ("results.jsonl", "solve-results", lambda result: records.lines([_result_record(result)])),
+        ("decisions.jsonl", "decision-log", planner.format_decision_log),
+        ("trajectories.jsonl", "trajectory-log",
+         lambda result: format_trajectory_log(result.trajectory)),
+    ):
+        with open(output_dir / name, "w", encoding="utf-8") as fh:
+            fh.write(records.header(format_name, seed=config.seed))
+            fh.writelines(map(render, solved))
+    click.echo(f"solved: {len(solved)}")
     click.echo(f"results written: {output_dir / 'results.jsonl'}")
+
+
+def _result_record(result) -> dict:
+    if isinstance(result, planner.RankingResult):
+        return {
+            "problem_id": result.problem_id,
+            "task": "retrieval_ranking",
+            "doc_ids": list(result.doc_ids),
+            "query_used": result.query_used,
+            "fallback": result.fallback,
+        }
+    return {
+        "problem_id": result.problem_id,
+        "task": "answer_match",
+        "final_answer": result.final_answer,
+        "terminated_by": result.terminated_by.value,
+    }
 
 
 @main.command("eval")
@@ -370,20 +357,17 @@ def eval_cmd(ctx: click.Context, results_path: str | None, judgments_path: str |
 
     answer_rows: list[tuple[ProblemInstance, str]] = []
     ranking_rows: dict[str, list[str]] = {}
-    with open(results_file, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if line_number == 1 or not line.strip():
-                continue
-            record = json.loads(line)
-            problem = problems.get(record["problem_id"])
-            if problem is None:
-                raise click.ClickException(
-                    f"result for unknown problem {record['problem_id']!r}"
-                )
-            if record["task"] == "retrieval_ranking":
-                ranking_rows[problem.problem_id] = list(record["doc_ids"])
-            else:
-                answer_rows.append((problem, record["final_answer"]))
+
+    def read_result(record: dict) -> None:
+        problem = problems.get(record["problem_id"])
+        if problem is None:
+            raise ValueError(f"result for unknown problem {record['problem_id']!r}")
+        if record["task"] == "retrieval_ranking":
+            ranking_rows[problem.problem_id] = list(record["doc_ids"])
+        else:
+            answer_rows.append((problem, record["final_answer"]))
+
+    records.read(results_file, read_result, ConfigurationError, header=("solve-results", 1))
 
     answer_report = None
     ranking_mean = None
@@ -407,7 +391,7 @@ def eval_cmd(ctx: click.Context, results_path: str | None, judgments_path: str |
     report_path = config.path("output_dir") / "report.txt"
     report_path.parent.mkdir(parents=True, exist_ok=True)
     body = evaluation.format_metric_report(answer_report, ranking_mean, per_problem)
-    report_path.write_text(_header_line("metric-report", config.seed) + "\n" + body,
+    report_path.write_text(records.header("metric-report", seed=config.seed) + body,
                            encoding="utf-8")
     click.echo(f"report written: {report_path}")
 

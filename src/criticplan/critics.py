@@ -10,19 +10,19 @@ Preference files feed external reward-model trainers unchanged.
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 import zlib
 from collections import Counter
 from itertools import chain
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
+from . import records
 from .errors import (
     BackendError,
     ConfigurationError,
@@ -42,10 +42,8 @@ from .mdp import (
     subgoal_observation,
 )
 
-PAIRS_FORMAT = "preference-pairs"
-PAIRS_VERSION = 1
-CRITIC_FORMAT = "linear-critic"
-CRITIC_VERSION = 1
+PAIRS_HEADER = ("preference-pairs", 1)
+CRITIC_HEADER = ("linear-critic", 1)
 
 
 class CriticKind(Enum):
@@ -242,25 +240,23 @@ class LinearCritic:
 
     def save(self, path) -> None:
         payload = {
-            "format": CRITIC_FORMAT,
-            "version": CRITIC_VERSION,
+            "format": CRITIC_HEADER[0],
+            "version": CRITIC_HEADER[1],
             "kind": self.kind.value,
             "dim": self.featurizer.spec.dim,
             "weights": self.weights.tolist(),
         }
-        Path(path).write_text(
-            json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n",
-            encoding="utf-8",
-        )
+        Path(path).write_text(records.dumps(payload) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "LinearCritic":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if data.get("format") != CRITIC_FORMAT or data.get("version") != CRITIC_VERSION:
-            raise ConfigurationError(f"{path}: not a {CRITIC_FORMAT} v{CRITIC_VERSION} file")
+        return records.read_document(path, cls._from_record, ConfigurationError, CRITIC_HEADER)
+
+    @classmethod
+    def _from_record(cls, data: dict) -> "LinearCritic":
         weights = np.asarray(data["weights"], dtype=np.float64)
         if weights.shape != (data["dim"],):
-            raise ConfigurationError(f"{path}: {weights.size} weights for dim {data['dim']}")
+            raise ValueError(f"{weights.size} weights for dim {data['dim']}")
         return cls(
             kind=CriticKind(data["kind"]),
             weights=weights,
@@ -288,8 +284,9 @@ class HttpCritic:
         }
         data = post_json(self.base_url, payload, self.timeout, 1, "critic")
         score = data.get("score")
-        if isinstance(score, bool) or not isinstance(score, (int, float)):
-            raise BackendError(f"critic endpoint replied with non-numeric score {score!r}")
+        # The bound is False for NaN, the infinities and ints beyond float range.
+        if type(score) not in (int, float) or not abs(score) <= sys.float_info.max:
+            raise BackendError(f"critic endpoint replied with {score!r}, not a finite score")
         return float(score)
 
 
@@ -438,16 +435,6 @@ def pairs_filename(kind: CriticKind) -> str:
     return f"pairs_{kind.value}.jsonl"
 
 
-def _pairs_header(kind: CriticKind, timestamp: str) -> str:
-    header = {
-        "format": PAIRS_FORMAT,
-        "version": PAIRS_VERSION,
-        "kind": kind.value,
-        "generated_at": timestamp,
-    }
-    return json.dumps(header, ensure_ascii=False, separators=(",", ":"))
-
-
 def export_pairs(pairs: Iterable[PreferencePair], directory) -> dict[CriticKind, int]:
     """Append pairs to kind-partitioned files under `directory`.
 
@@ -459,49 +446,14 @@ def export_pairs(pairs: Iterable[PreferencePair], directory) -> dict[CriticKind,
     by_kind: dict[CriticKind, list[PreferencePair]] = {}
     for pair in pairs:
         by_kind.setdefault(pair.kind, []).append(pair)
-    counts: dict[CriticKind, int] = {}
-    timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     for kind, kind_pairs in by_kind.items():
         path = directory / pairs_filename(kind)
-        new_file = not path.exists()
+        head = "" if path.exists() else records.header(*PAIRS_HEADER, kind=kind.value)
         with open(path, "a", encoding="utf-8") as fh:
-            if new_file:
-                fh.write(_pairs_header(kind, timestamp) + "\n")
-            for pair in kind_pairs:
-                fh.write(json.dumps(_pair_record(pair), ensure_ascii=False,
-                                    separators=(",", ":")) + "\n")
-        counts[kind] = len(kind_pairs)
-    return counts
-
-
-_REQUIRED_PAIR_FIELDS = (
-    "kind", "problem_id", "context", "chosen", "rejected",
-    "chosen_value", "rejected_value", "chosen_visits", "rejected_visits",
-)
+            fh.write(head + records.lines(map(_pair_record, kind_pairs)))
+    return {kind: len(kind_pairs) for kind, kind_pairs in by_kind.items()}
 
 
 def import_pairs(path) -> list[PreferencePair]:
-    """Read one kind-partitioned pair file; errors carry the offending line number."""
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-            except ValueError as err:
-                raise PairFormatError(f"invalid JSON: {err}", line_number)
-            if line_number == 1:
-                if data.get("format") != PAIRS_FORMAT or data.get("version") != PAIRS_VERSION:
-                    raise PairFormatError(
-                        f"expected a {PAIRS_FORMAT} v{PAIRS_VERSION} header", line_number
-                    )
-                continue
-            missing = [k for k in _REQUIRED_PAIR_FIELDS if k not in data]
-            if missing:
-                raise PairFormatError(f"record missing {missing}", line_number)
-            try:
-                pairs.append(_pair_from_record(data))
-            except (ContractViolationError, KeyError, ValueError) as err:
-                raise PairFormatError(f"bad record: {err}", line_number)
-    return pairs
+    """Read one kind-partitioned pair file; errors name the file and line."""
+    return records.read(path, _pair_from_record, PairFormatError, PAIRS_HEADER)

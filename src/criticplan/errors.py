@@ -52,12 +52,6 @@ class TrainingError(CriticPlanError):
 class PairFormatError(CriticPlanError):
     """A preference-pair file is malformed."""
 
-    def __init__(self, message: str, line_number: int | None = None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
-
 
 class PlanningFailureError(CriticPlanError):
     """Every sub-goal at a decision point was masked; the solve cannot proceed."""

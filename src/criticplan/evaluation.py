@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import subprocess
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence, Set
 
+from . import records
 from .errors import ConfigurationError, ContractViolationError
 from .mdp import ProblemInstance
 
@@ -100,27 +100,12 @@ def ndcg_at_10(ranking: Sequence[str], judgments: Set[str]) -> float:
 RelevanceJudgments = Mapping[str, Set[str]]
 
 
-def read_records(path, parse) -> list:
-    """`parse` of each JSON line of a file; a bad line is a ConfigurationError naming file:line."""
-    parsed = []
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                parsed.append(parse(json.loads(line)))
-            except KeyError as err:
-                raise ConfigurationError(f"{path}:{line_number}: missing key {err}") from err
-            except (ValueError, TypeError, ContractViolationError) as err:
-                raise ConfigurationError(f"{path}:{line_number}: {err}") from err
-    return parsed
-
-
 def load_judgments(path) -> dict[str, set[str]]:
     """Read {problem_id, relevant_doc_ids} records from a line-delimited file."""
-    return dict(read_records(
+    return dict(records.read(
         path,
         lambda record: (str(record["problem_id"]), {str(d) for d in record["relevant_doc_ids"]}),
+        ConfigurationError,
     ))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Protocol, Sequence
 
-from . import retrieval
+from . import records, retrieval
 from .errors import (
     BackendError,
     ConfigurationError,
@@ -30,6 +30,7 @@ from .mdp import Observation, ObservationKind, State
 
 REASON_BEGIN, REASON_END = "[BEGIN REASON]", "[END REASON]"
 QUERY_BEGIN, QUERY_END = "[BEGIN QUERY]", "[END QUERY]"
+SCRIPTED_HEADER = ("scripted-generator", 1)
 
 
 @dataclass(frozen=True)
@@ -278,15 +279,11 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path) -> "ScriptedBackend":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if data.get("format") != "scripted-generator" or data.get("version") != 1:
-            raise BackendError(f"{path}: not a scripted-generator v1 file")
-        return cls(
+        return records.read_document(path, lambda data: cls(
             sample_rules=[_as_rule(e, for_conclude=False) for e in data.get("sample", [])],
             conclude_rules=[_as_rule(e, for_conclude=True) for e in data.get("conclude", [])],
             default_conclusion=data.get("default_conclusion"),
-        )
+        ), BackendError, SCRIPTED_HEADER)
 
 
 def write_scripted_backend(
@@ -297,8 +294,8 @@ def write_scripted_backend(
 ) -> None:
     """Persist a scripted backend rule table to its JSON file format."""
     payload = {
-        "format": "scripted-generator",
-        "version": 1,
+        "format": SCRIPTED_HEADER[0],
+        "version": SCRIPTED_HEADER[1],
         "sample": list(sample_rules),
         "conclude": list(conclude_rules),
         "default_conclusion": default_conclusion,
@@ -360,9 +357,9 @@ class HttpGeneratorBackend:
             payload["seed"] = self.seed
         data = post_json(self.base_url, payload, self.timeout, self.retries + 1, "generator")
         candidates = data.get("candidates")
-        if not isinstance(candidates, list):
-            raise BackendError("generator response missing 'candidates' list")
-        return [str(c) for c in candidates]
+        if not isinstance(candidates, list) or not all(isinstance(c, str) for c in candidates):
+            raise BackendError("generator response 'candidates' is not a list of strings")
+        return candidates
 
     def conclude(self, prompt: str) -> str:
         candidates = self.sample(prompt, 1, 0.0)

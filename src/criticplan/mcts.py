@@ -21,15 +21,13 @@ is rejected.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Protocol
 
-from . import generation, retrieval
+from . import generation, records, retrieval
 from .critics import CriticKind, PreferencePair, build_context, critic_kind_for
 from .errors import BackendError, ContractViolationError, SearchRunError
 from .evaluation import AnswerChecker, NormalizedExactMatchChecker
@@ -54,9 +52,6 @@ from .mdp import (
 # Fraction of iterations allowed to abort on backend failures before the
 # whole run is declared failed.
 MAX_ABORT_FRACTION = 0.25
-
-TREE_DUMP_FORMAT = "tree-dump"
-TREE_DUMP_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -319,22 +314,17 @@ def extract_pairs(
 
 def dump_tree(root: TreeNode, path) -> None:
     """Write one JSON line per node (preorder ids) after a timestamp header."""
-    header = {
-        "format": TREE_DUMP_FORMAT,
-        "version": TREE_DUMP_VERSION,
-        "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    }
-    lines = [json.dumps(header, ensure_ascii=False, separators=(",", ":"))]
     ids: dict[int, int] = {}
+    nodes = []
     for node_id, node in enumerate(root.walk()):
         ids[id(node)] = node_id
-        record = {
+        nodes.append({
             "node": node_id,
             "parent": ids[id(node.parent)] if node.parent is not None else None,
             "kind": node.observation.kind.value if node.observation else "root",
             "digest": text_digest(node.observation.text) if node.observation else "",
             "v": node.v,
             "n": node.n,
-        }
-        lines.append(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        })
+    Path(path).write_text(records.header("tree-dump") + records.lines(nodes),
+                          encoding="utf-8")

@@ -9,12 +9,12 @@ can branch cheaply by sharing prefixes.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Protocol, Sequence, Union
 
+from . import records
 from .errors import (
     ConfigurationError,
     ContractViolationError,
@@ -117,6 +117,8 @@ class ProblemInstance:
     task_kind: TaskKind = TaskKind.ANSWER_MATCH
 
     def __post_init__(self):
+        if not isinstance(self.statement, str) or not isinstance(self.gold_label, str):
+            raise ContractViolationError("problem statement and gold_label must be strings")
         if not self.statement:
             raise ContractViolationError("problem statement is non-empty")
 
@@ -396,9 +398,9 @@ def _action_variant(action: Action) -> str:
 
 def trajectory_records(state: State) -> list[dict]:
     """One record per (action, observation), with byte-stable field order."""
-    records = []
+    out = []
     for step, (action, obs) in enumerate(state.trajectory, start=1):
-        records.append(
+        out.append(
             {
                 "problem_id": state.problem.problem_id,
                 "step": step,
@@ -408,13 +410,9 @@ def trajectory_records(state: State) -> list[dict]:
                 "doc_id": obs.doc_id,
             }
         )
-    return records
+    return out
 
 
 def format_trajectory_log(state: State) -> str:
     """Line-delimited JSON rendering of the trajectory, suitable for golden diffs."""
-    lines = [
-        json.dumps(record, ensure_ascii=False, separators=(",", ":"))
-        for record in trajectory_records(state)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return records.lines(trajectory_records(state))

@@ -10,12 +10,11 @@ recorded.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
-from . import generation, retrieval
+from . import generation, records, retrieval
 from .critics import CriticBackend, CriticKind, critic_kind_for, reward
 from .errors import ContractViolationError, EmptyQueryError, PlanningFailureError
 from .generation import GeneratorBackend, SamplingConfig
@@ -283,10 +282,10 @@ def _ranking_result(
 
 def decision_records(result: SolveResult | RankingResult) -> list[dict]:
     """Flat per-candidate records for the score-table log."""
-    records = []
+    out = []
     for decision in result.decisions:
         for candidate in decision.candidates:
-            records.append(
+            out.append(
                 {
                     "problem_id": result.problem_id,
                     "step": decision.step,
@@ -299,12 +298,8 @@ def decision_records(result: SolveResult | RankingResult) -> list[dict]:
                     "masked": list(decision.masked),
                 }
             )
-    return records
+    return out
 
 
 def format_decision_log(result: SolveResult | RankingResult) -> str:
-    lines = [
-        json.dumps(record, ensure_ascii=False, separators=(",", ":"))
-        for record in decision_records(result)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return records.lines(decision_records(result))

@@ -1,0 +1,68 @@
+"""The on-disk record format: UTF-8 text, one compact JSON object per line.
+
+Files the engine writes start with a header line `{"format", "version", ...,
+"generated_at"}`, the only line that carries a timestamp. A single-object file
+(a critic or a scripted generator) holds `format` and `version` in the object
+itself. A malformed file raises the caller's error type with the text
+`path:line: reason`, or `path: reason` for a single-object file.
+"""
+
+from __future__ import annotations
+
+import json
+from datetime import datetime, timezone
+from pathlib import Path
+
+from .errors import ContractViolationError
+
+
+def dumps(record) -> str:
+    """Compact JSON with non-ASCII text kept as UTF-8."""
+    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+
+
+def lines(records) -> str:
+    """One compact JSON line per record, each ending in a newline."""
+    return "".join(dumps(record) + "\n" for record in records)
+
+
+def header(format: str, version: int = 1, **fields) -> str:
+    """A record file's header line, stamped with the current UTC time."""
+    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return dumps({"format": format, "version": version, **fields, "generated_at": stamp}) + "\n"
+
+
+def read(path, parse, error, header: tuple[str, int] | None = None) -> list:
+    """`parse` of each record of a line-delimited file; blank lines are skipped.
+
+    With `header` = (format, version), line 1 must be that file's header line.
+    A line that is not a JSON object, or that `parse` rejects with a KeyError,
+    ValueError, TypeError or ContractViolationError, raises `error`.
+    """
+    parsed = []
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            if number == 1 and header is not None:
+                _decode(line, dict, error, f"{path}:1", header)
+            elif line.strip():
+                parsed.append(_decode(line, parse, error, f"{path}:{number}"))
+    return parsed
+
+
+def read_document(path, parse, error, header: tuple[str, int]):
+    """`parse` of a single-object file whose `format` and `version` match `header`."""
+    return _decode(Path(path).read_text(encoding="utf-8"), parse, error, str(path), header)
+
+
+def _decode(text: str, parse, error, where: str, header: tuple[str, int] | None = None):
+    try:
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object, got a {type(data).__name__}")
+        if header is not None and (data.get("format"), data.get("version")) != header:
+            raise ValueError(f"not a {header[0]} v{header[1]} file")
+        return parse(data)
+    except KeyError as err:
+        raise error(f"{where}: missing key {err}") from err
+    except (ValueError, TypeError, ContractViolationError) as err:
+        raise error(f"{where}: {err}") from err

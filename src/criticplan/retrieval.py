@@ -23,6 +23,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from . import records
 from .errors import (
     ContractViolationError,
     EmptyQueryError,
@@ -262,14 +263,10 @@ def ingest_directory(directory) -> list[tuple[str, str]]:
 
 def ingest_jsonl(path) -> list[tuple[str, str]]:
     """Read a line-delimited file of {"id": ..., "text": ...} records."""
-    documents = []
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                documents.append((str(record["id"]), str(record["text"])))
-            except (ValueError, KeyError) as err:
-                raise IngestionError(f"{path}:{line_number}: bad document record: {err}")
-    return documents
+    return records.read(path, _document, IngestionError)
+
+
+def _document(record: dict) -> tuple[str, str]:
+    if not isinstance(record["text"], str):
+        raise TypeError(f"document text must be a string, got {record['text']!r}")
+    return str(record["id"]), record["text"]

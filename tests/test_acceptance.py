@@ -7,6 +7,7 @@ captured output of a failing run) and enforces its runtime budget.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import random
 import time
@@ -302,6 +303,21 @@ def test_a6_determinism(tmp_path):
         )
         compared += 1
     assert compared >= 8
+
+
+def test_timestamps_only_in_header_lines(tmp_path):
+    """Digests of these outputs skip line 1, so no other line may carry a timestamp."""
+    root = _run_collect_and_solve(tmp_path)
+    outputs = [root / "out" / name
+               for name in ("results.jsonl", "decisions.jsonl", "trajectories.jsonl")]
+    outputs += sorted((root / "pairs").glob("*.jsonl"))
+    outputs += sorted((root / "out" / "trees").glob("*.tree.jsonl"))
+    assert len(outputs) >= 3 + len(CriticKind) + 1
+    for path in outputs:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        assert list(header)[:2] == ["format", "version"] and "generated_at" in header, path
+        assert not any('"generated_at"' in line for line in lines[1:]), path
 
 
 @criterion("A7 ranking path separation", budget_seconds=60)

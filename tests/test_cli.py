@@ -228,6 +228,8 @@ class TestLoadProblems:
         ('{"problem_id": "p2", "statement": "s", "task_kind": "bogus"}', "bogus"),
         ('{"problem_id": "p2", "statement": ""}', "statement"),
         ("[1, 2]", "list"),
+        ('{"problem_id": "p2", "statement": "s", "gold_label": 42}', "gold_label"),
+        ('{"problem_id": "p2", "statement": ["s"]}', "statement"),
     ])
     def test_bad_line_names_file_and_line(self, tmp_path, bad_line, message):
         path = tmp_path / "problems.jsonl"

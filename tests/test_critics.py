@@ -507,7 +507,7 @@ class TestPairFiles:
         path.write_text(lines[0] + "\n" + record + "\n")
         with pytest.raises(PairFormatError) as excinfo:
             import_pairs(path)
-        assert "line 2" in str(excinfo.value)
+        assert f"{path}:2:" in str(excinfo.value)
         assert "chosen" in str(excinfo.value)
 
     def test_header_required(self, tmp_path):
@@ -605,7 +605,9 @@ def test_http_critic_unreachable_is_backend_error():
 
 
 @pytest.mark.parametrize(
-    "reply", ["[]", '{"score": null}', '{"score": [1]}', '{"score": "0.5"}', '{"score": true}']
+    "reply", ["[]", '{"score": null}', '{"score": [1]}', '{"score": "0.5"}', '{"score": true}',
+              '{"score": NaN}', '{"score": Infinity}', '{"score": -1e999}',
+              pytest.param('{"score": 1%s}' % ("0" * 400), id="int-beyond-float-range")]
 )
 def test_http_critic_wrong_shape_reply_is_backend_error(reply):
     from criticplan.critics import HttpCritic

@@ -307,6 +307,14 @@ class TestHttpBackend:
             with pytest.raises(BackendError, match="not an object"):
                 backend.sample("x", 1, 0.0)
 
+    @pytest.mark.parametrize("reply", ['{"candidates": [null]}', '{"candidates": [1]}',
+                                       '{"candidates": [{}]}', '{"candidates": ["a", NaN]}'])
+    def test_candidate_that_is_not_a_string_is_backend_error(self, reply):
+        with serve_fixed_reply(reply) as url:
+            backend = HttpGeneratorBackend(base_url=url, timeout=2.0, retries=0)
+            with pytest.raises(BackendError, match="not a list of strings"):
+                backend.sample("x", 1, 0.0)
+
     def test_truncated_reply_is_backend_error(self):
         with serve_fixed_reply('{"candidates": ["a"', declared_length=100) as url:
             backend = HttpGeneratorBackend(base_url=url, timeout=2.0, retries=1)

@@ -273,3 +273,10 @@ class TestIngestion:
         path.write_text('{"id": "a"}\n')
         with pytest.raises(IngestionError):
             ingest_jsonl(path)
+
+    def test_non_string_text_names_line(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"id": "a", "text": "alpha"}\n{"id": "b", "text": null}\n')
+        with pytest.raises(IngestionError, match="text must be a string") as err:
+            ingest_jsonl(path)
+        assert f"{path}:2:" in str(err.value)
