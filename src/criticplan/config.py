@@ -89,6 +89,11 @@ class EngineConfig:
             if isinstance(value, bool) or not isinstance(value, expected):
                 raise ConfigurationError(
                     f"{section}.{name} must be a {type(default).__name__}, got {value!r}")
+        # An HTTP generator is always sent a seed: generator.seed, else seed.
+        seed = self.generator.get("seed", self.seed)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            key = "generator.seed" if "seed" in self.generator else "seed"
+            raise ConfigurationError(f"{key} must be an int, got {seed!r}")
         # Build what needs no files now, so a bad value fails at load.
         self.mcts_config()
         self.planner_config()

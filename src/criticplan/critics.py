@@ -72,7 +72,32 @@ class CriticContext:
 
 
 class CriticBackend(Protocol):
+    """Contract for critics: `score` is deterministic per context.
+
+    The paper's critics are fine-tuned reward models, so the same
+    `CriticContext` always gets the same score. `solve` and
+    `solve_for_ranking` rely on it: each wraps the critics in
+    `MemoizedCritic`s for one problem, so a repeated context is scored once.
+    """
+
     def score(self, ctx: CriticContext) -> float: ...
+
+
+class MemoizedCritic:
+    """A critic that sends each distinct context to `backend` once.
+
+    Scores are kept per (frozen, hashable) context for the life of the wrapper,
+    which is one problem. A failed request is not kept.
+    """
+
+    def __init__(self, backend: CriticBackend):
+        self.backend = backend
+        self._scores: dict[CriticContext, float] = {}
+
+    def score(self, ctx: CriticContext) -> float:
+        if ctx not in self._scores:
+            self._scores[ctx] = self.backend.score(ctx)
+        return self._scores[ctx]
 
 
 def build_context(state: State, kind: CriticKind, candidate: Observation) -> CriticContext:
@@ -284,10 +309,15 @@ class HttpCritic:
         }
         data = post_json(self.base_url, payload, self.timeout, 1, "critic")
         score = data.get("score")
-        # The bound is False for NaN, the infinities and ints beyond float range.
-        if type(score) not in (int, float) or not abs(score) <= sys.float_info.max:
+        if not _is_finite_number(score):
             raise BackendError(f"critic endpoint replied with {score!r}, not a finite score")
         return float(score)
+
+
+def _is_finite_number(value) -> bool:
+    """A JSON number (not a bool) within float range: not NaN or infinite."""
+    # The bound is False for NaN, the infinities and ints beyond float range.
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 # ------------------------------------------------------------ preference pairs
@@ -418,6 +448,12 @@ def _pair_record(pair: PreferencePair) -> dict:
 
 
 def _pair_from_record(data: dict) -> PreferencePair:
+    for key in ("chosen_value", "rejected_value"):
+        if not _is_finite_number(data[key]):
+            raise ValueError(f"{key} must be a finite number, got {data[key]!r}")
+    for key in ("chosen_visits", "rejected_visits"):
+        if type(data[key]) is not int or data[key] < 0:
+            raise ValueError(f"{key} must be a non-negative integer, got {data[key]!r}")
     return PreferencePair(
         kind=CriticKind(data["kind"]),
         problem_id=data["problem_id"],

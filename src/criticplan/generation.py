@@ -49,11 +49,15 @@ class GeneratorBackend(Protocol):
     """Contract for candidate samplers.
 
     `sample` returns between 1 and k non-empty strings; `conclude` returns a
-    single completion. Backends that support seeding must be deterministic for
-    a fixed seed. `conclude` must be deterministic per prompt; MCTS reuses its
-    first result for a node. The operations here call a backend once and do
-    not retry a `BackendError`; a backend with transient failures retries
-    inside itself (`HttpGeneratorBackend.retries`).
+    single completion. Both are deterministic per request: the same prompt
+    (and k and temperature) gets the same reply, as a scripted rule table or a
+    seeded model server gives (the CLI always sends an HTTP generator a seed).
+    `run_mcts`, `solve` and `solve_for_ranking` rely on it: each wraps the
+    backend in a `MemoizedGenerator` for one problem, so a repeated `sample`
+    is answered from memory, and MCTS reuses a node's first conclusion. The
+    operations here call a backend once and do not retry a `BackendError`; a
+    backend with transient failures retries inside itself
+    (`HttpGeneratorBackend.retries`).
     """
 
     def sample(self, prompt: str, k: int, temperature: float) -> list[str]: ...
@@ -226,6 +230,29 @@ def conclude(state: State, backend: GeneratorBackend) -> str:
     return backend.conclude(render_conclusion_prompt(state))
 
 
+class MemoizedGenerator:
+    """A generator that sends each distinct `sample` request to `backend` once.
+
+    Replies are kept per (prompt, k, temperature) for the life of the wrapper,
+    which is one problem, and handed out as fresh lists. A failed request is
+    not kept, so the next identical request is sent again. `conclude` passes
+    through: its prompts do not repeat within a problem.
+    """
+
+    def __init__(self, backend: GeneratorBackend):
+        self.backend = backend
+        self._samples: dict[tuple[str, int, float], tuple[str, ...]] = {}
+
+    def sample(self, prompt: str, k: int, temperature: float) -> list[str]:
+        key = (prompt, k, temperature)
+        if key not in self._samples:
+            self._samples[key] = tuple(self.backend.sample(prompt, k, temperature))
+        return list(self._samples[key])
+
+    def conclude(self, prompt: str) -> str:
+        return self.backend.conclude(prompt)
+
+
 # --------------------------------------------------------------------- backends
 
 
@@ -241,13 +268,20 @@ class ScriptedRule:
         return all(m in prompt for m in self.match)
 
 
+def _strings(value, key: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"rule {key!r} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def _as_rule(entry: dict, *, for_conclude: bool) -> ScriptedRule:
     match = entry["match"]
-    if isinstance(match, str):
-        match = [match]
+    match = _strings([match] if isinstance(match, str) else match, "match")
     if for_conclude:
-        return ScriptedRule(match=tuple(match), response=entry["response"])
-    return ScriptedRule(match=tuple(match), candidates=tuple(entry["candidates"]))
+        if not isinstance(entry["response"], str):
+            raise TypeError(f"rule 'response' must be a string, got {entry['response']!r}")
+        return ScriptedRule(match=match, response=entry["response"])
+    return ScriptedRule(match=match, candidates=_strings(entry["candidates"], "candidates"))
 
 
 @dataclass

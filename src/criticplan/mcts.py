@@ -7,6 +7,10 @@ Each iteration runs the four classic phases:
     Expansion:        materialize exactly one unexplored child. Sub-goal nodes
                       sample their execution candidates once, on first
                       expansion; decision nodes enumerate the legal markers.
+                      Nodes reached by different paths can render the same
+                      prompt (transpositions: the rationale and query prompts
+                      leave out the sub-goal markers); the run's memoized
+                      generator sends each distinct `sample` request once.
     Simulation:       conclude a final answer from the new node's state and
                       score it against the gold label, once per node: a node
                       selected again (terminal or dead end) reuses its stored
@@ -184,7 +188,9 @@ def run_mcts(
     Backend failures abort the iteration; the run fails once more than a
     quarter of all iterations aborted. `iteration_hook(root, i)` is invoked
     after each completed iteration (invariant checks, progress reporting).
+    `generator` is wrapped in a `MemoizedGenerator` for this run.
     """
+    generator = generation.MemoizedGenerator(generator)
     root = TreeNode(state=root_state(problem, horizon=cfg.horizon))
     aborted = 0
     for i in range(cfg.iterations):

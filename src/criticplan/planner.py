@@ -5,7 +5,8 @@ obtains execution candidates for it (sampling or retrieval), scores those, and
 commits to the best candidate. A sub-goal whose candidate set comes back empty
 is masked at that decision and the selection re-runs; a decision with every
 sub-goal masked is a planning failure. Every candidate, score, and choice is
-recorded.
+recorded. Each solve memoizes its generator `sample` and critic `score`
+requests, so a request repeated within one problem reaches its backend once.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from enum import Enum
 from typing import Mapping
 
 from . import generation, records, retrieval
-from .critics import CriticBackend, CriticKind, critic_kind_for, reward
+from .critics import CriticBackend, CriticKind, MemoizedCritic, critic_kind_for, reward
 from .errors import ContractViolationError, EmptyQueryError, PlanningFailureError
 from .generation import GeneratorBackend, SamplingConfig
 from .mdp import (
@@ -97,7 +98,10 @@ class RankingResult:
 
 @dataclass
 class _Loop:
-    """Decision machinery shared by the answer and ranking solve variants."""
+    """Decision machinery shared by the answer and ranking solve variants.
+
+    Build it with `_Loop.for_problem`, which memoizes the backends.
+    """
 
     problem: ProblemInstance
     critics: Mapping[CriticKind, CriticBackend]
@@ -109,6 +113,13 @@ class _Loop:
     # Set by step(retrieve_is_final=True) when the critics commit to Retrieve;
     # the ranking variant stops there and runs the final retrieval itself.
     final_retrieve: State | None = None
+
+    @classmethod
+    def for_problem(cls, problem, critics, generator, corpus, cfg) -> "_Loop":
+        return cls(problem=problem,
+                   critics={kind: MemoizedCritic(c) for kind, c in critics.items()},
+                   generator=generation.MemoizedGenerator(generator),
+                   corpus=corpus, cfg=cfg)
 
     def pick_best(self, scored):
         best_index = 0
@@ -168,13 +179,18 @@ class _Loop:
         """Run one sub-goal + execution round and return the new state.
 
         Sub-goals whose candidate set comes back empty are masked at this
-        decision and selection re-runs over the remaining scores (each
-        sub-goal is scored once per decision); all-masked is a planning failure.
+        decision and selection re-runs over the rest; all-masked is a planning
+        failure. Scoring the rest again sends no request, and neither does a
+        masked sub-goal's prompt asked again at a later decision: the loop's
+        critics and generator are memoized for the problem.
         """
-        all_scored = [(a, reward(state, a, self.critics)) for a in subgoal_actions(state)]
         masked: set[SubGoal] = set()
         while True:
-            scored = [(a, s) for a, s in all_scored if a.target not in masked]
+            scored = [
+                (a, reward(state, a, self.critics))
+                for a in subgoal_actions(state)
+                if a.target not in masked
+            ]
             if not scored:
                 raise PlanningFailureError(
                     f"every sub-goal masked at step {state.step_index}"
@@ -209,8 +225,7 @@ def solve(
 ) -> SolveResult:
     """Plan until an observation contains the answer or the horizon forces a
     conclusion."""
-    loop = _Loop(problem=problem, critics=critics, generator=generator,
-                 corpus=corpus, cfg=cfg)
+    loop = _Loop.for_problem(problem, critics, generator, corpus, cfg)
     state = root_state(problem, horizon=cfg.horizon)
     while not is_terminal(state, cfg.answer_detector):
         state = loop.step(state)
@@ -225,7 +240,7 @@ def solve(
         )
     return SolveResult(
         problem_id=problem.problem_id,
-        final_answer=generation.conclude(state, generator),
+        final_answer=generation.conclude(state, loop.generator),
         terminated_by=TerminationReason.HORIZON_FORCED,
         trajectory=state,
         decisions=tuple(loop.decisions),
@@ -248,8 +263,7 @@ def solve_for_ranking(
     """
     if problem.task_kind is not TaskKind.RETRIEVAL_RANKING:
         raise ContractViolationError("solve_for_ranking requires a retrieval_ranking task")
-    loop = _Loop(problem=problem, critics=critics, generator=generator,
-                 corpus=corpus, cfg=cfg)
+    loop = _Loop.for_problem(problem, critics, generator, corpus, cfg)
     state = root_state(problem, horizon=cfg.horizon)
     while not is_terminal(state, cfg.answer_detector):
         state = loop.step(state, retrieve_is_final=True)

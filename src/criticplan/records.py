@@ -36,11 +36,13 @@ def read(path, parse, error, header: tuple[str, int] | None = None) -> list:
     """`parse` of each record of a line-delimited file; blank lines are skipped.
 
     With `header` = (format, version), line 1 must be that file's header line.
-    A line that is not a JSON object, or that `parse` rejects with a KeyError,
-    ValueError, TypeError or ContractViolationError, raises `error`.
+    A line that is not UTF-8 or not a JSON object, or that `parse` rejects
+    with a KeyError, ValueError, TypeError or ContractViolationError, raises
+    `error`. Lines are read as bytes and decoded one by one, so a bad byte is
+    reported at its line.
     """
     parsed = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for number, line in enumerate(fh, start=1):
             if number == 1 and header is not None:
                 _decode(line, dict, error, f"{path}:1", header)
@@ -51,12 +53,12 @@ def read(path, parse, error, header: tuple[str, int] | None = None) -> list:
 
 def read_document(path, parse, error, header: tuple[str, int]):
     """`parse` of a single-object file whose `format` and `version` match `header`."""
-    return _decode(Path(path).read_text(encoding="utf-8"), parse, error, str(path), header)
+    return _decode(Path(path).read_bytes(), parse, error, str(path), header)
 
 
-def _decode(text: str, parse, error, where: str, header: tuple[str, int] | None = None):
+def _decode(raw: bytes, parse, error, where: str, header: tuple[str, int] | None = None):
     try:
-        data = json.loads(text)
+        data = json.loads(raw.decode("utf-8"))  # a UnicodeDecodeError is a ValueError
         if not isinstance(data, dict):
             raise TypeError(f"expected a JSON object, got a {type(data).__name__}")
         if header is not None and (data.get("format"), data.get("version")) != header:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -17,6 +18,21 @@ from criticplan.mdp import (
     root_state,
     subgoal_observation,
 )
+
+
+class SampleCountingBackend:
+    """Counts the `sample` requests that reach `inner`, per prompt."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.prompts: Counter[str] = Counter()
+
+    def sample(self, prompt, k, temperature):
+        self.prompts[prompt] += 1
+        return self.inner.sample(prompt, k, temperature)
+
+    def conclude(self, prompt):
+        return self.inner.conclude(prompt)
 
 
 @pytest.fixture

@@ -510,6 +510,23 @@ class TestPairFiles:
         assert f"{path}:2:" in str(excinfo.value)
         assert "chosen" in str(excinfo.value)
 
+    @pytest.mark.parametrize("key, value", [
+        ("chosen_value", "2"), ("chosen_value", True), ("chosen_value", None),
+        ("rejected_value", float("nan")), ("rejected_value", float("-inf")),
+        ("chosen_value", 10**400),
+        ("chosen_visits", "many"), ("chosen_visits", -1), ("chosen_visits", 1.0),
+        ("rejected_visits", None), ("rejected_visits", False),
+    ])
+    def test_wrong_typed_value_or_visits_names_line(self, tmp_path, key, value):
+        export_pairs([make_pair(CriticKind.RATIONALE, "x GOOD", "x BAD")], tmp_path)
+        path = tmp_path / pairs_filename(CriticKind.RATIONALE)
+        header, line = path.read_text().splitlines()
+        # json writes NaN and the infinities as bare tokens, which json reads back.
+        path.write_text(header + "\n" + json.dumps({**json.loads(line), key: value}) + "\n")
+        with pytest.raises(PairFormatError) as excinfo:
+            import_pairs(path)
+        assert f"{path}:2: {key}" in str(excinfo.value)
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
         path.write_text('{"kind": "rationale"}\n')

@@ -245,6 +245,23 @@ class TestScriptedBackendFile:
         assert backend.conclude("alpha then one") == "answer"
         assert backend.conclude("nothing matches") == "dunno"
 
+    @pytest.mark.parametrize("section, rule", [
+        ("sample", {"match": "x", "candidates": "abc"}),
+        ("sample", {"match": "x", "candidates": ["a", None]}),
+        ("sample", {"match": 3, "candidates": ["a"]}),
+        ("sample", {"match": ["x", 1], "candidates": ["a"]}),
+        ("conclude", {"match": "x", "response": ["a"]}),
+        ("conclude", {"match": [None], "response": "a"}),
+    ])
+    def test_wrong_typed_rule_names_file(self, tmp_path, section, rule):
+        path = tmp_path / "backend.json"
+        path.write_text(json.dumps(
+            {"format": "scripted-generator", "version": 1, section: [rule]}
+        ))
+        with pytest.raises(BackendError) as err:
+            ScriptedBackend.from_file(path)
+        assert f"{path}: rule '" in str(err.value)
+
     def test_no_matching_rule_is_backend_error(self):
         backend = ScriptedBackend()
         with pytest.raises(BackendError):

@@ -29,8 +29,9 @@ from criticplan.mdp import (
     root_state,
 )
 from criticplan.critics import export_pairs
-from tests._toys import reasoning_toy
-from tests.conftest import advance_subgoal, rationale
+from criticplan.retrieval import build_index
+from tests._toys import lookup_toy, reasoning_toy
+from tests.conftest import SampleCountingBackend, advance_subgoal, rationale
 
 
 def reference_ucb1(v, n, parent_n, c):
@@ -242,6 +243,37 @@ class TestSimulateOncePerNode:
         plain, _ = run_reasoning_toy(lambda inner: inner)
         strict, _ = run_reasoning_toy(FailOnRepeatBackend)
         assert node_stats(strict) == node_stats(plain)
+
+
+class TestSampleMemo:
+    def test_transposed_prompts_are_sent_once(self):
+        # Nodes on different paths render the same rationale or query prompt;
+        # without the memo 23 requests reach 10 distinct prompts.
+        toy = lookup_toy(1, horizon=24)
+        backend = SampleCountingBackend(toy.backend)
+        cfg = MctsConfig(iterations=256, sampling=SamplingConfig(k=2), horizon=24)
+        run_mcts(toy.problems[0], backend, CheckerOracle(), cfg,
+                 corpus=build_index(toy.corpus_documents))
+        assert len(backend.prompts) == 10
+        assert sum(backend.prompts.values()) == 10
+
+    def test_failed_sample_is_asked_again(self, problem):
+        class FirstSampleFails(SampleCountingBackend):
+            def sample(self, prompt, k, temperature):
+                failing = not self.prompts
+                result = super().sample(prompt, k, temperature)
+                if failing:
+                    raise BackendError("transient")
+                return result
+
+        backend = FirstSampleFails(constant_backend())
+        root = run_mcts(problem, backend, ConstantOracle(0.0), toy_config(iterations=8))
+        # The failed prompt went out twice, every other prompt once.
+        assert sorted(backend.prompts.values())[-1] == 2
+        assert sum(backend.prompts.values()) == len(backend.prompts) + 1
+        reason = next(c for c in root.children
+                      if c.incoming_action == ChooseSubGoal(SubGoal.REASONING))
+        assert reason.children and root.n == 7
 
 
 class TestSelectionEquivalence:

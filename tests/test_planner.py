@@ -25,7 +25,8 @@ from criticplan.planner import (
 )
 from criticplan.retrieval import build_index, retrieve
 from tests import _walkthrough
-from tests._toys import ranking_toy
+from tests._toys import lookup_toy, ranking_toy
+from tests.conftest import SampleCountingBackend
 
 ALL_CONSTANT = {kind: ConstantCritic(0.0) for kind in CriticKind}
 
@@ -201,6 +202,43 @@ class TestSolveBasics:
         assert result.decisions[0].masked == ("querying",)
         # Retrieving is not legal at the root (no query yet), so it is never scored.
         assert counting.calls == {(0, "genquery"): 1, (0, "reason"): 1}
+
+    def test_masked_prompt_is_sent_once_per_problem(self):
+        # Constant critics pick reasoning at every decision; after the first
+        # rationale, the rationale prompt comes back empty and is masked at
+        # each later decision, so 23 requests reach 3 distinct prompts.
+        toy = lookup_toy(1, horizon=24)
+        backend = SampleCountingBackend(toy.backend)
+        cfg = PlannerConfig(horizon=24, sampling=SamplingConfig(k=2), answer_detector=NEVER)
+        result = solve(toy.problems[0], ALL_CONSTANT, backend, cfg,
+                       corpus=build_index(toy.corpus_documents))
+        assert sum(len(d.masked) for d in result.decisions) >= 11
+        assert len(backend.prompts) == 3
+        assert sum(backend.prompts.values()) == 3
+
+    def test_memo_is_per_problem(self):
+        # Both problems reach the same query prompt (it holds only the last
+        # rationale) at two decisions each; each problem sends it once.
+        class QueryPreference:
+            def score(self, ctx):
+                return {"genquery": 1.0, "reason": 0.5, "retrieve": 0.1}[
+                    ctx.candidate.kind.value
+                ]
+
+        critics = {**ALL_CONSTANT, CriticKind.SUBGOAL: QueryPreference()}
+        backend = SampleCountingBackend(ScriptedBackend(
+            sample_rules=[ScriptedRule(match=(), candidates=("a shared lead",))],
+            default_conclusion="done",
+        ))
+        cfg = PlannerConfig(horizon=6, sampling=SamplingConfig(k=1), answer_detector=NEVER)
+        for pid in ("p1", "p2"):
+            problem = ProblemInstance(problem_id=pid, statement=f"question {pid}?", gold_label="x")
+            result = solve(problem, critics, backend, cfg)
+            assert [d.kind for d in result.decisions].count("query") == 2
+        query_prompts = [p for p in backend.prompts if "[BEGIN QUERY]" in p]
+        assert len(query_prompts) == 1
+        assert backend.prompts[query_prompts[0]] == 2
+        assert sorted(backend.prompts.values()) == [1, 1, 2]
 
     def test_retrieval_without_corpus_is_configuration_error(self, problem):
         class RetrievePreference:

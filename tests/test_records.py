@@ -159,6 +159,29 @@ def test_malformed_file_error_names_path_and_line(tmp_path, name, text, where):
     assert f"{path}{where}" in str(err.value)
 
 
+@pytest.mark.parametrize("bad_line", [1, 3])
+@pytest.mark.parametrize("name", list(LINE_FILES))
+def test_non_utf8_line_names_path_and_line(tmp_path, name, bad_line):
+    _, header, good, _ = LINE_FILES[name]
+    lines = [(header or good).encode(), good.encode(), good.encode()]
+    # A UTF-16 byte-order mark: what a file saved as UTF-16 starts with.
+    lines[bad_line - 1] = b"\xff\xfe" + lines[bad_line - 1]
+    path = tmp_path / "input"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(CriticPlanError) as err:
+        LOADERS[name](path)
+    assert f"{path}:{bad_line}: 'utf-8' codec can't decode" in str(err.value)
+
+
+@pytest.mark.parametrize("name", list(DOCUMENT_FILES))
+def test_non_utf8_document_names_path(tmp_path, name):
+    path = tmp_path / "input"
+    path.write_bytes(json.dumps(DOCUMENT_FILES[name][1]).encode("utf-16"))
+    with pytest.raises(CriticPlanError) as err:
+        LOADERS[name](path)
+    assert f"{path}: 'utf-8' codec can't decode" in str(err.value)
+
+
 @pytest.mark.parametrize("name", list(DOCUMENT_FILES))
 def test_document_loaders_accept_the_good_document(tmp_path, name):
     loader, good, _ = DOCUMENT_FILES[name]
