@@ -20,7 +20,7 @@ from . import critics as critics_mod
 from . import evaluation, generation, mcts, planner, records, retrieval
 from .config import EngineConfig, load_engine_config
 from .critics import CriticKind, LinearCritic, import_pairs, pairs_filename
-from .errors import ConfigurationError, CriticPlanError, SearchRunError
+from .errors import ConfigurationError, CriticPlanError, IngestionError, SearchRunError
 from .mdp import ProblemInstance, TaskKind, format_trajectory_log
 
 logger = logging.getLogger(__name__)
@@ -156,14 +156,17 @@ def index(ctx: click.Context):
     if not documents:
         raise click.ClickException(f"no documents under {corpus_dir}")
     params = retrieval.Bm25Params(**config.retrieval)
-    corpus = retrieval.build_index(documents, params=params, corpus_id=corpus_dir.name)
+    try:
+        corpus = retrieval.build_index(documents, params=params, corpus_id=corpus_dir.name)
+    except IngestionError as err:
+        raise IngestionError(f"{corpus_dir}: {err}") from err
     index_path = config.path("index_path")
     index_path.parent.mkdir(parents=True, exist_ok=True)
     new_bytes = retrieval.index_bytes(corpus)
     if index_path.exists() and index_path.read_bytes() == new_bytes:
         click.echo(f"index up to date: {index_path}")
     else:
-        index_path.write_bytes(new_bytes)
+        retrieval.write_index(new_bytes, index_path)
         click.echo(f"index written: {index_path}")
     click.echo(f"documents: {len(corpus)}")
     click.echo(f"average_length: {corpus.avgdl:.6f}")

@@ -3,20 +3,27 @@
 Tokenization is lowercase alphanumeric splitting, no stemming, no stopwords.
 Following BM25S (Lu, arXiv 2407.03618), every (term, document) contribution is
 computed once at build time into compressed sparse rows, so scoring a query is
-a gather of its terms' rows plus one `np.bincount` accumulation. Each document
-sums its contributions in query-term order, as a loop over postings would, so
-scores are bit-identical to the scalar formula. The index is immutable after
-build and persists to a versioned binary format (header, JSON metadata line,
-raw arrays) whose bytes are a pure function of the inputs.
+a gather of its terms' rows plus one `np.bincount` accumulation. The build
+maps every token to an integer term id and makes one sort of (term row,
+document) keys, which yields the postings in row order and their term
+frequencies. Each document sums its contributions in query-term order, as a
+loop over postings would, so scores are bit-identical to the scalar formula.
+The index is immutable after build and persists to a versioned binary format
+(header, JSON metadata line, raw arrays) whose bytes are a pure function of
+the inputs; it is written atomically. Ingestion and index-file errors are
+`IngestionError`s that name the file.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
+import os
 import re
-from collections import Counter
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -87,9 +94,10 @@ class Corpus:
         return 0 if row is None else int(self.offsets[row + 1] - self.offsets[row])
 
 
-def _doc_rank(doc_ids) -> np.ndarray:
-    rank = np.empty(len(doc_ids), dtype=np.int64)
-    rank[sorted(range(len(doc_ids)), key=doc_ids.__getitem__)] = np.arange(len(doc_ids))
+def _ranks(items) -> np.ndarray:
+    """`rank[i]` is the rank of `items[i]` in sorted order."""
+    rank = np.empty(len(items), dtype=np.int64)
+    rank[sorted(range(len(items)), key=items.__getitem__)] = np.arange(len(items))
     return rank
 
 
@@ -102,38 +110,38 @@ def build_index(
     doc_ids: list[str] = []
     doc_texts: list[str] = []
     doc_lengths: list[int] = []
-    distinct_terms: list[int] = []
-    vocabulary: dict[str, str] = {}  # one shared str per term, not one per posting
-    posting_terms: list[str] = []
-    tfs: list[int] = []
+    term_ids = defaultdict(itertools.count().__next__)  # term -> id in first-seen order
+    token_ids = array("q")  # every document's tokens as term ids, in document order
     seen: set[str] = set()
     for doc_id, text in documents:
         if doc_id in seen:
             raise IngestionError(f"duplicate doc_id {doc_id!r}")
         seen.add(doc_id)
         tokens = tokenize(text)
-        counts = Counter(tokens)
         doc_ids.append(doc_id)
         doc_texts.append(text)
         doc_lengths.append(len(tokens))
-        distinct_terms.append(len(counts))
-        posting_terms.extend(map(vocabulary.setdefault, counts, counts))
-        tfs.extend(counts.values())
+        token_ids.extend(map(term_ids.__getitem__, tokens))
     n = len(doc_ids)
     avgdl = sum(doc_lengths) / n if n else 0.0
-    terms = {term: row for row, term in enumerate(sorted(vocabulary))}
-    rows = np.fromiter(map(terms.__getitem__, posting_terms), np.int64, len(posting_terms))
-    order = np.argsort(rows, kind="stable")  # keeps each row's positions ascending
-    df = np.bincount(rows, minlength=len(terms))
-    positions = np.repeat(np.arange(n, dtype=np.int32), distinct_terms)[order]
-    tf = np.array(tfs, dtype=np.int64)[order]
+    id_terms = list(term_ids)
+    terms = {term: row for row, term in enumerate(sorted(id_terms))}
+    lengths = np.array(doc_lengths, dtype=np.int64)
+    # One sort of the (term row, document) keys puts the postings in CSR order,
+    # each row's documents ascending, and counts each posting's tf.
+    keys = _ranks(id_terms)[token_ids]
+    keys *= n
+    keys += np.repeat(np.arange(n), lengths)
+    keys, tf = np.unique(keys, return_counts=True)
+    df = np.bincount(keys // n, minlength=len(terms))
+    positions = (keys % n).astype(np.int32)
     idf = [math.log((n - d + 0.5) / (d + 0.5) + 1.0) for d in df.tolist()]
     # The scalar formula's operations in its order: every float is bit-identical.
     k1, b = params.k1, params.b
-    norm = k1 * (1.0 - b + b * np.array(doc_lengths, dtype=np.int64)[positions] / avgdl)
+    norm = k1 * (1.0 - b + b * lengths[positions] / avgdl)
     scores = np.repeat(np.array(idf, dtype=np.float64), df) * tf * (k1 + 1.0) / (tf + norm)
     return Corpus(corpus_id, params, tuple(doc_ids), tuple(doc_texts), avgdl, terms,
-                  np.concatenate(([0], np.cumsum(df))), positions, scores, _doc_rank(doc_ids))
+                  np.concatenate(([0], np.cumsum(df))), positions, scores, _ranks(doc_ids))
 
 
 def _accumulate(corpus: Corpus, query: str) -> np.ndarray:
@@ -209,7 +217,25 @@ def index_bytes(corpus: Corpus) -> bytes:
 
 
 def save_index(corpus: Corpus, path) -> None:
-    Path(path).write_bytes(index_bytes(corpus))
+    write_index(index_bytes(corpus), path)
+
+
+def write_index(data: bytes, path) -> None:
+    """Replace `path` with `data` atomically.
+
+    The bytes go to a temporary file beside `path`, which `os.replace` then
+    moves over it, so a failed or interrupted write leaves any previous index
+    intact and removes the temporary file.
+    """
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as fh:
+            fh.write(data)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def load_index(path) -> Corpus:
@@ -230,7 +256,7 @@ def load_index(path) -> Corpus:
         fields = (meta["corpus_id"], Bm25Params(**meta["params"]), tuple(meta["doc_ids"]),
                   tuple(meta["doc_texts"]), meta["avgdl"],
                   {term: row for row, term in enumerate(meta["terms"])})
-        doc_rank = _doc_rank(fields[2])
+        doc_rank = _ranks(fields[2])
     except (ValueError, KeyError, TypeError, ContractViolationError) as err:
         raise IndexFormatError(f"{path}: bad index metadata: {err!r}") from None
     if len(fields[3]) != len(doc_rank):
@@ -257,7 +283,11 @@ def ingest_directory(directory) -> list[tuple[str, str]]:
         raise IngestionError(f"{directory}: not a directory")
     documents = []
     for path in sorted(root.rglob("*.txt")):
-        documents.append((path.relative_to(root).as_posix(), path.read_text(encoding="utf-8")))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as err:
+            raise IngestionError(f"{path}: {err}") from err
+        documents.append((path.relative_to(root).as_posix(), text))
     return documents
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from criticplan.critics import (
     LinearCritic,
     train_reference_critic,
 )
-from criticplan.errors import ConfigurationError, CriticPlanError
+from criticplan.errors import ConfigurationError, CriticPlanError, IngestionError
 from criticplan.evaluation import ExternalCommandChecker
 from criticplan.generation import HttpGeneratorBackend, SamplingConfig
 from criticplan.mcts import MctsConfig
@@ -92,6 +93,43 @@ class TestIndexCommand:
         result = runner.invoke(main, ["--config", config, "index"])
         assert result.exit_code != 0
         assert "no documents" in result.output
+
+    def test_duplicate_doc_id_names_corpus(self, runner, tmp_path):
+        config_path = mixed_suite(tmp_path)
+        corpus_path = tmp_path / "docs.jsonl"
+        corpus_path.write_text('{"id": "a", "text": "alpha"}\n{"id": "a", "text": "beta"}\n')
+        config = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        config["paths"]["corpus_dir"] = str(corpus_path)
+        Path(config_path).write_text(json.dumps(config), encoding="utf-8")
+        result = runner.invoke(main, ["--config", config_path, "index"])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, IngestionError)
+        assert str(result.exception) == f"{corpus_path}: duplicate doc_id 'a'"
+
+    @pytest.mark.parametrize("fault", ["disk full mid-write", "rename fails"])
+    def test_failed_write_keeps_previous_index(self, runner, tmp_path, monkeypatch, fault):
+        config = mixed_suite(tmp_path)
+        run_cli(runner, config, "index")
+        index_path = tmp_path / "out" / "index.bm25"
+        before = index_path.read_bytes()
+        (tmp_path / "corpus" / "extra.txt").write_text("new words " * 500, encoding="utf-8")
+        if fault == "rename fails":
+            def refuse(*args):
+                raise OSError("simulated rename failure")
+            monkeypatch.setattr(os, "replace", refuse)
+            result = runner.invoke(main, ["--config", config, "index"])
+        else:
+            resource = pytest.importorskip("resource")
+            soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+            # Writes past this size fail with EFBIG (Python ignores SIGXFSZ).
+            resource.setrlimit(resource.RLIMIT_FSIZE, (len(before) // 2, hard))
+            try:
+                result = runner.invoke(main, ["--config", config, "index"])
+            finally:
+                resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        assert isinstance(result.exception, OSError)
+        assert index_path.read_bytes() == before
+        assert os.listdir(index_path.parent) == ["index.bm25"]
 
 
 class TestConfig:

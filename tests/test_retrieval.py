@@ -263,6 +263,13 @@ class TestIngestion:
         documents = ingest_directory(tmp_path)
         assert documents == [("one.txt", "first"), ("sub/two.txt", "second")]
 
+    def test_non_utf8_text_file_names_path(self, tmp_path):
+        (tmp_path / "good.txt").write_text("fine")
+        (tmp_path / "bad.txt").write_bytes(b"caf\xe9")
+        with pytest.raises(IngestionError, match="can't decode byte 0xe9") as err:
+            ingest_directory(tmp_path)
+        assert str(tmp_path / "bad.txt") in str(err.value)
+
     def test_jsonl_ingestion(self, tmp_path):
         path = tmp_path / "docs.jsonl"
         path.write_text('{"id": "a", "text": "alpha"}\n{"id": "b", "text": "beta"}\n')

@@ -1,9 +1,10 @@
-"""The eager-sparse index against the dict-of-postings scorer it replaced.
+"""The eager-sparse index against the scalar code it replaced.
 
 `dict_score_query` and `dict_retrieve_scored` are the scalar loops that scored
 one posting at a time. The eager index performs the same floating-point
 operations in the same order, so scores must be equal with `==`, not within a
-tolerance.
+tolerance. `counter_build_index` is the per-document `Counter` builder that
+the one-sort integer builder replaced; both must serialize to the same bytes.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from criticplan.retrieval import (
     Bm25Params,
+    Corpus,
     build_index,
     index_bytes,
     load_index,
@@ -52,6 +55,37 @@ def dict_score_query(documents, query, params):
     return {doc_ids[p]: s for p, s in scores.items()}
 
 
+def counter_build_index(documents, params=Bm25Params(), corpus_id="corpus"):
+    """Count each document's terms, then sort every posting by its term's row."""
+    doc_ids, doc_texts, doc_lengths, distinct_terms = [], [], [], []
+    vocabulary, posting_terms, tfs = {}, [], []
+    for doc_id, text in documents:
+        tokens = tokenize(text)
+        counts = Counter(tokens)
+        doc_ids.append(doc_id)
+        doc_texts.append(text)
+        doc_lengths.append(len(tokens))
+        distinct_terms.append(len(counts))
+        posting_terms.extend(map(vocabulary.setdefault, counts, counts))
+        tfs.extend(counts.values())
+    n = len(doc_ids)
+    avgdl = sum(doc_lengths) / n if n else 0.0
+    terms = {term: row for row, term in enumerate(sorted(vocabulary))}
+    rows = np.fromiter(map(terms.__getitem__, posting_terms), np.int64, len(posting_terms))
+    order = np.argsort(rows, kind="stable")
+    df = np.bincount(rows, minlength=len(terms))
+    positions = np.repeat(np.arange(n, dtype=np.int32), distinct_terms)[order]
+    tf = np.array(tfs, dtype=np.int64)[order]
+    idf = [math.log((n - d + 0.5) / (d + 0.5) + 1.0) for d in df.tolist()]
+    k1, b = params.k1, params.b
+    norm = k1 * (1.0 - b + b * np.array(doc_lengths, dtype=np.int64)[positions] / avgdl)
+    scores = np.repeat(np.array(idf, dtype=np.float64), df) * tf * (k1 + 1.0) / (tf + norm)
+    doc_rank = np.empty(n, dtype=np.int64)
+    doc_rank[sorted(range(n), key=doc_ids.__getitem__)] = np.arange(n)
+    return Corpus(corpus_id, params, tuple(doc_ids), tuple(doc_texts), avgdl, terms,
+                  np.concatenate(([0], np.cumsum(df))), positions, scores, doc_rank)
+
+
 def dict_retrieve_scored(documents, query, params, k):
     scores = dict_score_query(documents, query, params)
     ranked = sorted(
@@ -77,10 +111,20 @@ queries = st.lists(st.sampled_from(VOCABULARY + ["absent"]), min_size=1, max_siz
 
 
 @st.composite
-def corpora(draw, min_size=0):
-    bodies = draw(st.lists(texts, min_size=min_size, max_size=25))
+def corpora(draw, min_size=0, text=texts):
+    bodies = draw(st.lists(text, min_size=min_size, max_size=25))
     doc_ids = draw(st.permutations([f"d{i:02d}" for i in range(len(bodies))]))
     return list(zip(doc_ids, bodies))
+
+
+# Pieces whose first-seen order differs from sorted order (w9 before w10),
+# that lowercasing changes (DOG, the Kelvin sign, dotted capital I) or that
+# hold no token at all (punctuation, the empty string).
+PIECES = ["w9", "w10", "w1", "dog", "DOG", "Dog", "\u212a", "k", "\u0130", "i", "a1b2",
+          "!!", "...", "-", ""]
+SEPARATORS = [" ", "  ", ",", "\n", "-", "?!"]
+mixed_texts = st.lists(st.tuples(st.sampled_from(PIECES), st.sampled_from(SEPARATORS)),
+                       max_size=16).map(lambda pairs: "".join(p + s for p, s in pairs))
 
 
 @st.composite
@@ -135,3 +179,17 @@ def test_save_load_round_trip_is_identical(documents, query, params):
     assert loaded.doc_ids == corpus.doc_ids and loaded.doc_texts == corpus.doc_texts
     assert score_query(loaded, query) == score_query(corpus, query)
     assert _hits(loaded, query, 10) == _hits(corpus, query, 10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpora(text=mixed_texts | texts), params_strategy)
+@example([("d1", "w9 w10 w9 W10"), ("d0", ""), ("d2", "!! ... -"), ("d3", "DOG dog \u212a k"),
+          ("d4", "w1 w1 w1")], Bm25Params())
+def test_index_bytes_equal_counter_builder(documents, params):
+    corpus = build_index(documents, params=params, corpus_id="c")
+    reference = counter_build_index(documents, params=params, corpus_id="c")
+    assert index_bytes(corpus) == index_bytes(reference)
+    assert corpus.terms == reference.terms
+    for name in ("offsets", "positions", "scores", "doc_rank"):
+        built, expected = getattr(corpus, name), getattr(reference, name)
+        assert built.dtype == expected.dtype and np.array_equal(built, expected), name
