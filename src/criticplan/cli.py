@@ -161,12 +161,11 @@ def index(ctx: click.Context):
     except IngestionError as err:
         raise IngestionError(f"{corpus_dir}: {err}") from err
     index_path = config.path("index_path")
-    index_path.parent.mkdir(parents=True, exist_ok=True)
     new_bytes = retrieval.index_bytes(corpus)
     if index_path.exists() and index_path.read_bytes() == new_bytes:
         click.echo(f"index up to date: {index_path}")
     else:
-        retrieval.write_index(new_bytes, index_path)
+        records.write(index_path, new_bytes)
         click.echo(f"index written: {index_path}")
     click.echo(f"documents: {len(corpus)}")
     click.echo(f"average_length: {corpus.avgdl:.6f}")
@@ -187,9 +186,6 @@ def collect(ctx: click.Context, problems_path: str | None):
     cfg = config.mcts_config()
     detector = config.planner_config().answer_detector
 
-    trees_dir = config.path("output_dir") / "trees"
-    trees_dir.mkdir(parents=True, exist_ok=True)
-
     def run_one(problem: ProblemInstance):
         root = mcts.run_mcts(
             problem, generator, oracle, cfg, corpus=corpus, detector=detector
@@ -208,18 +204,14 @@ def collect(ctx: click.Context, problems_path: str | None):
                 skipped.append(problem.problem_id)
                 click.echo(f"skipped {problem.problem_id}: {err}", err=True)
 
-    counts = {kind: 0 for kind in CriticKind}
-    pairs_dir = config.path("pairs_dir")
-    for problem in problems:
-        if problem.problem_id not in collected:
-            continue
-        root, pair_map = collected[problem.problem_id]
-        mcts.dump_tree(root, trees_dir / f"{problem.problem_id}.tree.jsonl")
-        all_pairs = [pair for pairs in pair_map.values() for pair in pairs]
-        for kind, n in critics_mod.export_pairs(all_pairs, pairs_dir).items():
-            counts[kind] += n
+    trees_dir = config.path("output_dir") / "trees"
+    all_pairs = []
+    for problem_id, (root, pair_map) in collected.items():
+        mcts.dump_tree(root, trees_dir / f"{problem_id}.tree.jsonl")
+        all_pairs.extend(pair for pairs in pair_map.values() for pair in pairs)
+    counts = critics_mod.export_pairs(all_pairs, config.path("pairs_dir"))
     for kind in CriticKind:
-        click.echo(f"pairs[{kind.value}]: {counts[kind]}")
+        click.echo(f"pairs[{kind.value}]: {counts.get(kind, 0)}")
     if skipped:
         raise click.ClickException(f"skipped {len(skipped)} problem(s): {', '.join(skipped)}")
 
@@ -269,9 +261,7 @@ def train_critic(ctx: click.Context, kind: str):
         featurizer_spec=critics_mod.FeaturizerSpec(**_present(config.critics, "dim")),
         **config.training,
     )
-    critics_dir = config.path("critics_dir")
-    critics_dir.mkdir(parents=True, exist_ok=True)
-    out_path = critics_dir / f"critic_{kind}.json"
+    out_path = config.path("critics_dir") / f"critic_{kind}.json"
     critic.save(out_path)
     click.echo(f"critic written: {out_path}")
     click.echo(f"pairs: {len(pairs)}")
@@ -310,16 +300,14 @@ def solve(ctx: click.Context, problems_path: str | None, critics_mode: str | Non
         solved = [future.result() for future in futures]
 
     output_dir = config.path("output_dir")
-    output_dir.mkdir(parents=True, exist_ok=True)
     for name, format_name, render in (
         ("results.jsonl", "solve-results", lambda result: records.lines([_result_record(result)])),
         ("decisions.jsonl", "decision-log", planner.format_decision_log),
         ("trajectories.jsonl", "trajectory-log",
          lambda result: format_trajectory_log(result.trajectory)),
     ):
-        with open(output_dir / name, "w", encoding="utf-8") as fh:
-            fh.write(records.header(format_name, seed=config.seed))
-            fh.writelines(map(render, solved))
+        records.write(output_dir / name, records.header(format_name, seed=config.seed)
+                      + "".join(map(render, solved)))
     click.echo(f"solved: {len(solved)}")
     click.echo(f"results written: {output_dir / 'results.jsonl'}")
 
@@ -392,10 +380,8 @@ def eval_cmd(ctx: click.Context, results_path: str | None, judgments_path: str |
         raise click.ClickException("results file contains no result records")
 
     report_path = config.path("output_dir") / "report.txt"
-    report_path.parent.mkdir(parents=True, exist_ok=True)
     body = evaluation.format_metric_report(answer_report, ranking_mean, per_problem)
-    report_path.write_text(records.header("metric-report", seed=config.seed) + body,
-                           encoding="utf-8")
+    records.write(report_path, records.header("metric-report", seed=config.seed) + body)
     click.echo(f"report written: {report_path}")
 
 

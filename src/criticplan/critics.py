@@ -271,7 +271,7 @@ class LinearCritic:
             "dim": self.featurizer.spec.dim,
             "weights": self.weights.tolist(),
         }
-        Path(path).write_text(records.dumps(payload) + "\n", encoding="utf-8")
+        records.write(path, records.dumps(payload) + "\n")
 
     @classmethod
     def load(cls, path) -> "LinearCritic":
@@ -475,18 +475,18 @@ def export_pairs(pairs: Iterable[PreferencePair], directory) -> dict[CriticKind,
     """Append pairs to kind-partitioned files under `directory`.
 
     Each file starts with a format-version header line (the only line carrying
-    a timestamp). Returns per-kind appended counts.
+    a timestamp). A file is rewritten whole, its previous bytes followed by the
+    new lines. Returns per-kind appended counts.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     by_kind: dict[CriticKind, list[PreferencePair]] = {}
     for pair in pairs:
         by_kind.setdefault(pair.kind, []).append(pair)
     for kind, kind_pairs in by_kind.items():
         path = directory / pairs_filename(kind)
-        head = "" if path.exists() else records.header(*PAIRS_HEADER, kind=kind.value)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(head + records.lines(map(_pair_record, kind_pairs)))
+        head = (path.read_bytes() if path.exists()
+                else records.header(*PAIRS_HEADER, kind=kind.value).encode("utf-8"))
+        records.write(path, head + records.lines(map(_pair_record, kind_pairs)).encode("utf-8"))
     return {kind: len(kind_pairs) for kind, kind_pairs in by_kind.items()}
 
 

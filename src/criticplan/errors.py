@@ -59,3 +59,7 @@ class PlanningFailureError(CriticPlanError):
 
 class SearchRunError(CriticPlanError):
     """Too many tree-search iterations aborted on backend failures."""
+
+
+class OutputError(CriticPlanError, OSError):
+    """An output file could not be written; the message starts with its path."""

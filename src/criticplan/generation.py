@@ -190,8 +190,6 @@ def sample_queries(
     """Sample candidate search queries for a pending GenQuery sub-goal."""
     if state.pending_subgoal() is not ObservationKind.GENQUERY:
         raise ContractViolationError("state must end in a GenQuery sub-goal observation")
-    if state.latest(ObservationKind.RATIONALE) is None:
-        raise MissingRationaleError("query generation requires a preceding rationale")
     return _sample_observations(
         state, backend, cfg, render_query_prompt, QUERY_BEGIN, QUERY_END,
         ObservationKind.QUERY,
@@ -334,9 +332,7 @@ def write_scripted_backend(
         "conclude": list(conclude_rules),
         "default_conclusion": default_conclusion,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    records.write(path, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
 
 
 def post_json(url: str, payload: dict, timeout: float, attempts: int, what: str) -> dict:

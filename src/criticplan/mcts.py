@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Protocol
 
 from . import generation, records, retrieval
@@ -332,5 +331,4 @@ def dump_tree(root: TreeNode, path) -> None:
             "v": node.v,
             "n": node.n,
         })
-    Path(path).write_text(records.header("tree-dump") + records.lines(nodes),
-                          encoding="utf-8")
+    records.write(path, records.header("tree-dump") + records.lines(nodes))

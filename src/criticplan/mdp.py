@@ -289,34 +289,17 @@ def subgoal_observation(action: ChooseSubGoal) -> Observation:
 def apply(state: State, action: Action, observation: Observation) -> State:
     """Append (action, observation) and advance the step index.
 
-    The input state is unmodified; a new value is returned.
+    The input state is unmodified; a new value is returned. The new state's
+    own checks reject a step past the horizon, a sub-goal away from a
+    decision point and an observation of the wrong kind.
     """
-    if state.step_index >= state.horizon:
-        raise HorizonExceededError(
-            f"state already at horizon {state.horizon}; cannot apply"
-        )
     if isinstance(action, ChooseSubGoal):
-        if not state.at_decision_point():
-            raise ContractViolationError(
-                "sub-goal actions are only legal at the root or after an execution"
-            )
-        expected = subgoal_observation(action)
-        if observation != expected:
+        if observation != subgoal_observation(action):
             raise ContractViolationError(
                 f"observation does not match the rule-based transition for "
                 f"{action.target.value}"
             )
     elif isinstance(action, ChooseCandidate):
-        pending = state.pending_subgoal()
-        if pending is None:
-            raise ContractViolationError(
-                "candidate actions are only legal at a pending sub-goal"
-            )
-        if observation.kind is not EXECUTION_FOR[pending]:
-            raise ContractViolationError(
-                f"observation kind {observation.kind.value} does not realize "
-                f"sub-goal {pending.value}"
-            )
         if observation != action.candidate:
             raise ContractViolationError("observation differs from the chosen candidate")
     else:

@@ -4,16 +4,18 @@ Files the engine writes start with a header line `{"format", "version", ...,
 "generated_at"}`, the only line that carries a timestamp. A single-object file
 (a critic or a scripted generator) holds `format` and `version` in the object
 itself. A malformed file raises the caller's error type with the text
-`path:line: reason`, or `path: reason` for a single-object file.
+`path:line: reason`, or `path: reason` for a single-object file. Every output
+file is written by `write`, which replaces it atomically.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, OutputError
 
 
 def dumps(record) -> str:
@@ -30,6 +32,30 @@ def header(format: str, version: int = 1, **fields) -> str:
     """A record file's header line, stamped with the current UTC time."""
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return dumps({"format": format, "version": version, **fields, "generated_at": stamp}) + "\n"
+
+
+def write(path, data: str | bytes) -> None:
+    """Replace `path` with `data` (a str is encoded as UTF-8) atomically.
+
+    The parent directory is created, the bytes go to a temporary file beside
+    `path`, and `os.replace` moves it over `path`. A failed or interrupted
+    write leaves any previous file intact and removes the temporary file. It
+    does not fsync, so it covers a failed process, not a machine crash. An
+    OSError is raised again as an OutputError whose message starts with `path`.
+    """
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(temporary, "wb") as fh:
+                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            os.replace(temporary, path)
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
+    except OSError as err:
+        raise OutputError(f"{path}: {err}") from err
 
 
 def read(path, parse, error, header: tuple[str, int] | None = None) -> list:

@@ -10,8 +10,8 @@ frequencies. Each document sums its contributions in query-term order, as a
 loop over postings would, so scores are bit-identical to the scalar formula.
 The index is immutable after build and persists to a versioned binary format
 (header, JSON metadata line, raw arrays) whose bytes are a pure function of
-the inputs; it is written atomically. Ingestion and index-file errors are
-`IngestionError`s that name the file.
+the inputs. Ingestion and index-file errors are `IngestionError`s that name
+the file.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import itertools
 import json
 import math
 import numbers
-import os
 import re
 from array import array
 from collections import defaultdict
@@ -217,25 +216,7 @@ def index_bytes(corpus: Corpus) -> bytes:
 
 
 def save_index(corpus: Corpus, path) -> None:
-    write_index(index_bytes(corpus), path)
-
-
-def write_index(data: bytes, path) -> None:
-    """Replace `path` with `data` atomically.
-
-    The bytes go to a temporary file beside `path`, which `os.replace` then
-    moves over it, so a failed or interrupted write leaves any previous index
-    intact and removes the temporary file.
-    """
-    path = Path(path)
-    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(temporary, "wb") as fh:
-            fh.write(data)
-        os.replace(temporary, path)
-    except BaseException:
-        temporary.unlink(missing_ok=True)
-        raise
+    records.write(path, index_bytes(corpus))
 
 
 def load_index(path) -> Corpus:

@@ -3,13 +3,14 @@ from __future__ import annotations
 import inspect
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from criticplan import cli
+from criticplan import cli, records
 from criticplan.cli import load_problems, main
 from criticplan.config import load_engine_config
 from criticplan.critics import (
@@ -20,7 +21,12 @@ from criticplan.critics import (
     LinearCritic,
     train_reference_critic,
 )
-from criticplan.errors import ConfigurationError, CriticPlanError, IngestionError
+from criticplan.errors import (
+    ConfigurationError,
+    CriticPlanError,
+    IngestionError,
+    OutputError,
+)
 from criticplan.evaluation import ExternalCommandChecker
 from criticplan.generation import HttpGeneratorBackend, SamplingConfig
 from criticplan.mcts import MctsConfig
@@ -106,30 +112,77 @@ class TestIndexCommand:
         assert isinstance(result.exception, IngestionError)
         assert str(result.exception) == f"{corpus_path}: duplicate doc_id 'a'"
 
+
+SOLVE = "solve --critics constant"
+# Each output file of `mixed_suite`, and the commands that produce it: the
+# last one writes it.
+OUTPUTS = {
+    "index": ("out/index.bm25", ["index"]),
+    "critic": ("critics/critic_rationale.json", ["index", "collect", "train-critic rationale"]),
+    "tree": ("out/trees/lookup-000.tree.jsonl", ["index", "collect"]),
+    "pairs": ("pairs/pairs_rationale.jsonl", ["index", "collect"]),
+    "results": ("out/results.jsonl", ["index", SOLVE]),
+    "decisions": ("out/decisions.jsonl", ["index", SOLVE]),
+    "trajectories": ("out/trajectories.jsonl", ["index", SOLVE]),
+    "report": ("out/report.txt", ["index", SOLVE, "eval"]),
+}
+
+
+class TestOutputFiles:
     @pytest.mark.parametrize("fault", ["disk full mid-write", "rename fails"])
-    def test_failed_write_keeps_previous_index(self, runner, tmp_path, monkeypatch, fault):
+    @pytest.mark.parametrize("output", list(OUTPUTS))
+    def test_failed_write_keeps_previous_output(self, runner, tmp_path, monkeypatch, output,
+                                                fault):
+        relative, commands = OUTPUTS[output]
         config = mixed_suite(tmp_path)
-        run_cli(runner, config, "index")
-        index_path = tmp_path / "out" / "index.bm25"
-        before = index_path.read_bytes()
+        for command in commands:
+            run_cli(runner, config, *command.split())
+        target = tmp_path / relative
+        before = target.read_bytes()
+        # New text makes `index` rewrite the index; every other output is rewritten anyway.
         (tmp_path / "corpus" / "extra.txt").write_text("new words " * 500, encoding="utf-8")
         if fault == "rename fails":
-            def refuse(*args):
-                raise OSError("simulated rename failure")
+            replace = os.replace
+
+            def refuse(source, destination):
+                if Path(destination) == target:
+                    raise OSError("simulated rename failure")
+                replace(source, destination)
+
             monkeypatch.setattr(os, "replace", refuse)
-            result = runner.invoke(main, ["--config", config, "index"])
         else:
             resource = pytest.importorskip("resource")
             soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
-            # Writes past this size fail with EFBIG (Python ignores SIGXFSZ).
-            resource.setrlimit(resource.RLIMIT_FSIZE, (len(before) // 2, hard))
-            try:
-                result = runner.invoke(main, ["--config", config, "index"])
-            finally:
-                resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
-        assert isinstance(result.exception, OSError)
-        assert index_path.read_bytes() == before
-        assert os.listdir(index_path.parent) == ["index.bm25"]
+            write = records.write
+
+            def write_to_full_disk(path, data):
+                # Writes past this size fail with EFBIG (Python ignores SIGXFSZ).
+                if Path(path) == target:
+                    resource.setrlimit(resource.RLIMIT_FSIZE, (len(before) // 2, hard))
+                try:
+                    write(path, data)
+                finally:
+                    resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+
+            monkeypatch.setattr(records, "write", write_to_full_disk)
+        result = runner.invoke(main, ["--config", config, *commands[-1].split()])
+        assert isinstance(result.exception, OutputError)
+        assert str(result.exception).startswith(f"{target}: ")
+        assert target.read_bytes() == before
+        assert not list(target.parent.glob(".*.tmp"))
+
+    def test_run_reports_unwritable_output(self, runner, tmp_path, monkeypatch, capsys):
+        config = mixed_suite(tmp_path)
+        run_cli(runner, config, "index")
+        results = tmp_path / "out" / "results.jsonl"
+        results.mkdir()  # a directory where the results file goes
+        monkeypatch.setattr(sys, "argv", ["criticplan", "--config", config, *SOLVE.split()])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run()
+        assert exit_info.value.code == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"error: {results}: ")
+        assert "Traceback" not in stderr
 
 
 class TestConfig:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import tempfile
 from pathlib import Path
@@ -188,3 +189,46 @@ def test_document_loaders_accept_the_good_document(tmp_path, name):
     path = tmp_path / "input"
     path.write_text(json.dumps(good), encoding="utf-8")
     assert loader(path)
+
+
+def _file_writes(source: str):
+    """(line, call) of every call in `source` that writes a file."""
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        module = getattr(getattr(func, "value", None), "id", None)
+        if (name in ("write_text", "write_bytes")
+                or module == "os" and name in ("replace", "rename")):
+            yield node.lineno, name
+        elif name == "open":
+            # open(file, mode) and os.open(file, flags); a Path's open(mode).
+            at = 1 if isinstance(func, ast.Name) or module in ("os", "io", "builtins") else 0
+            mode = next((kw.value for kw in node.keywords if kw.arg in ("mode", "flags")),
+                        node.args[at] if len(node.args) > at else None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and isinstance(mode.value, str)
+                                         and not set("wax+") & set(mode.value)):
+                yield node.lineno, f"open({ast.unparse(mode)})"
+
+
+@pytest.mark.parametrize("source, writes", [
+    ('open(path, "w")', True), ('open(path, mode="ab")', True), ('path.open("x")', True),
+    ('open(path, "r+b")', True), ('open(path, mode)', True), ("os.open(path, os.O_WRONLY)", True),
+    ("path.write_text(text)", True), ("Path(path).write_bytes(data)", True),
+    ("os.replace(source, path)", True),
+    ("open(path)", False), ('open(path, "rb")', False), ('path.open("r")', False),
+    ('text.replace("a", "b")', False), ("path.read_bytes()", False),
+])
+def test_file_write_detector(source, writes):
+    assert bool(list(_file_writes(source))) is writes
+
+
+def test_only_records_writes_files():
+    """Every output goes through `records.write`; no other module writes a file."""
+    package = Path(records.__file__).parent
+    writes = [f"{path.name}:{line}: {call}" for path in sorted(package.glob("*.py"))
+              if path.name != "records.py"
+              for line, call in _file_writes(path.read_text(encoding="utf-8"))]
+    assert writes == []
