@@ -162,7 +162,7 @@ def index(ctx: click.Context):
         raise IngestionError(f"{corpus_dir}: {err}") from err
     index_path = config.path("index_path")
     new_bytes = retrieval.index_bytes(corpus)
-    if index_path.exists() and index_path.read_bytes() == new_bytes:
+    if records.read_existing(index_path) == new_bytes:
         click.echo(f"index up to date: {index_path}")
     else:
         records.write(index_path, new_bytes)

@@ -95,9 +95,10 @@ class MemoizedCritic:
         self._scores: dict[CriticContext, float] = {}
 
     def score(self, ctx: CriticContext) -> float:
-        if ctx not in self._scores:
-            self._scores[ctx] = self.backend.score(ctx)
-        return self._scores[ctx]
+        score = self._scores.get(ctx)
+        if score is None:
+            score = self._scores[ctx] = self.backend.score(ctx)
+        return score
 
 
 def build_context(state: State, kind: CriticKind, candidate: Observation) -> CriticContext:
@@ -484,8 +485,9 @@ def export_pairs(pairs: Iterable[PreferencePair], directory) -> dict[CriticKind,
         by_kind.setdefault(pair.kind, []).append(pair)
     for kind, kind_pairs in by_kind.items():
         path = directory / pairs_filename(kind)
-        head = (path.read_bytes() if path.exists()
-                else records.header(*PAIRS_HEADER, kind=kind.value).encode("utf-8"))
+        head = records.read_existing(path)
+        if head is None:
+            head = records.header(*PAIRS_HEADER, kind=kind.value).encode("utf-8")
         records.write(path, head + records.lines(map(_pair_record, kind_pairs)).encode("utf-8"))
     return {kind: len(kind_pairs) for kind, kind_pairs in by_kind.items()}
 

@@ -263,7 +263,7 @@ class ScriptedRule:
     response: str | None = None
 
     def matches(self, prompt: str) -> bool:
-        return all(m in prompt for m in self.match)
+        return all(map(prompt.__contains__, self.match))
 
 
 def _strings(value, key: str) -> tuple[str, ...]:

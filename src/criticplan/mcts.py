@@ -2,8 +2,8 @@
 
 Each iteration runs the four classic phases:
 
-    Selection:        descend from the root by UCB1 while nodes are fully
-                      expanded and non-terminal.
+    Selection:        descend from the root by UCB1 while nodes have
+                      children and are fully expanded.
     Expansion:        materialize exactly one unexplored child. Sub-goal nodes
                       sample their execution candidates once, on first
                       expansion; decision nodes enumerate the legal markers.
@@ -137,23 +137,21 @@ def ucb1(v: float, n: int, parent_n: int, c: float) -> float:
     return v / n + c * math.sqrt(math.log(parent_n) / n)
 
 
-def select_path(root: TreeNode, c: float, detector: AnswerDetector = NEVER_DETECT) -> list[TreeNode]:
-    """Descend by argmax UCB1 until a node is not fully expanded or terminal.
+def select_path(root: TreeNode, c: float) -> list[TreeNode]:
+    """Descend by argmax UCB1 while a node has children and is fully expanded.
 
-    Ties break toward the earliest-materialized child.
+    Only live, non-terminal nodes are expanded, so selection stops at a dead
+    or terminal node. Children are scored with `ucb1`'s expression, taking
+    ln(parent n) once per level. Ties break toward the earliest child.
     """
     path = [root]
     node = root
-    while (
-        node.is_fully_expanded()
-        and node.children
-        and not node.dead
-        and not is_terminal(node.state, detector)
-    ):
+    while node.children and node.is_fully_expanded():
+        log_n = math.log(node.n)
         best = node.children[0]
-        best_score = ucb1(best.v, best.n, node.n, c)
+        best_score = best.v / best.n + c * math.sqrt(log_n / best.n)
         for child in node.children[1:]:
-            score = ucb1(child.v, child.n, node.n, c)
+            score = child.v / child.n + c * math.sqrt(log_n / child.n)
             if score > best_score:
                 best, best_score = child, score
         node = best
@@ -216,7 +214,7 @@ def _run_iteration(
     corpus: retrieval.Corpus | None,
     detector: AnswerDetector,
 ) -> None:
-    node = select_path(root, cfg.exploration, detector)[-1]
+    node = select_path(root, cfg.exploration)[-1]
     target = node
     if not node.dead and not is_terminal(node.state, detector):
         if node.pending is None:

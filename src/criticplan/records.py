@@ -18,9 +18,12 @@ from pathlib import Path
 from .errors import ContractViolationError, OutputError
 
 
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
 def dumps(record) -> str:
     """Compact JSON with non-ASCII text kept as UTF-8."""
-    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+    return _ENCODER.encode(record)
 
 
 def lines(records) -> str:
@@ -54,6 +57,20 @@ def write(path, data: str | bytes) -> None:
         except BaseException:
             temporary.unlink(missing_ok=True)
             raise
+    except OSError as err:
+        raise OutputError(f"{path}: {err}") from err
+
+
+def read_existing(path) -> bytes | None:
+    """The bytes of an output file about to be replaced, or None if it is absent.
+
+    Any other OSError (the path is a directory, say) is raised again as an
+    OutputError whose message starts with `path`.
+    """
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        return None
     except OSError as err:
         raise OutputError(f"{path}: {err}") from err
 

@@ -6,7 +6,11 @@ patch still exist, so a rename fails here rather than in a traced run.
 
 from __future__ import annotations
 
+import json
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -16,6 +20,8 @@ from criticplan.generation import SamplingConfig, ScriptedBackend, ScriptedRule
 from criticplan.mdp import SubGoal, root_state
 from tests._toys import lookup_toy, reasoning_toy, write_workspace
 from tests.conftest import advance_subgoal
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_tracer_installs_and_uninstalls_cleanly():
@@ -49,6 +55,22 @@ def test_candidate_sampling_is_traced(problem):
     finally:
         tracer.uninstall()
     assert [span[1] for span in tracer.spans].count("generation.sample") == 1
+
+
+def test_traced_benchmark_pass_reports_every_layer():
+    # One untraced and one traced lookup-deep pass through the real harness,
+    # which wraps package functions by name. No timing is gated.
+    run = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", "lookup-deep", "--seed", "3",
+         "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    assert {metric["name"] for metric in declared} <= set(result["metrics"])
 
 
 _MAKE_GENERATOR, _MAKE_CRITICS = cli._generator_from_config, cli._critics_from_config

@@ -171,17 +171,28 @@ class TestOutputFiles:
         assert target.read_bytes() == before
         assert not list(target.parent.glob(".*.tmp"))
 
-    def test_run_reports_unwritable_output(self, runner, tmp_path, monkeypatch, capsys):
+    # A directory where the output file goes. The results file is only
+    # written; the index (its up-to-date check) and a pair file (appended to)
+    # are read before they are replaced.
+    @pytest.mark.parametrize("relative, commands", [
+        ("out/results.jsonl", ["index", SOLVE]),
+        ("out/index.bm25", ["index"]),
+        ("pairs/pairs_subgoal.jsonl", ["index", "collect"]),
+    ], ids=["results", "index", "pairs"])
+    def test_run_reports_unwritable_output(self, runner, tmp_path, monkeypatch, capsys,
+                                           relative, commands):
         config = mixed_suite(tmp_path)
-        run_cli(runner, config, "index")
-        results = tmp_path / "out" / "results.jsonl"
-        results.mkdir()  # a directory where the results file goes
-        monkeypatch.setattr(sys, "argv", ["criticplan", "--config", config, *SOLVE.split()])
+        for command in commands[:-1]:
+            run_cli(runner, config, *command.split())
+        target = tmp_path / relative
+        target.mkdir(parents=True)
+        monkeypatch.setattr(sys, "argv", ["criticplan", "--config", config,
+                                          *commands[-1].split()])
         with pytest.raises(SystemExit) as exit_info:
             cli.run()
         assert exit_info.value.code == 1
         stderr = capsys.readouterr().err
-        assert stderr.startswith(f"error: {results}: ")
+        assert stderr.startswith(f"error: {target}: ")
         assert "Traceback" not in stderr
 
 

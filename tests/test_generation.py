@@ -262,6 +262,28 @@ class TestScriptedBackendFile:
             ScriptedBackend.from_file(path)
         assert f"{path}: rule '" in str(err.value)
 
+    # Rules are scanned in order and the first whose substrings all occur wins.
+    FIRST_MATCH = ScriptedBackend(
+        sample_rules=[
+            ScriptedRule(match=("alpha", "beta"), candidates=("both",)),
+            ScriptedRule(match=("alpha",), candidates=("alpha only",)),
+            ScriptedRule(match=(), candidates=("any",)),
+        ],
+        conclude_rules=[ScriptedRule(match=("alpha", "beta"), response="both")],
+        default_conclusion="fallback",
+    )
+
+    @pytest.mark.parametrize("prompt, candidate, conclusion", [
+        ("alpha and beta", "both", "both"),
+        ("beta then alpha", "both", "both"),
+        ("alpha without the other", "alpha only", "fallback"),
+        ("beta without the other", "any", "fallback"),
+        ("", "any", "fallback"),
+    ])
+    def test_first_match_table(self, prompt, candidate, conclusion):
+        assert self.FIRST_MATCH.sample(prompt, 1, 0.0) == [candidate]
+        assert self.FIRST_MATCH.conclude(prompt) == conclusion
+
     def test_no_matching_rule_is_backend_error(self):
         backend = ScriptedBackend()
         with pytest.raises(BackendError):

@@ -24,13 +24,15 @@ from criticplan.mdp import (
     ChooseCandidate,
     ChooseSubGoal,
     ProblemInstance,
+    SentinelAnswerDetector,
     SubGoal,
     apply,
+    is_terminal,
     root_state,
 )
 from criticplan.critics import export_pairs
 from criticplan.retrieval import build_index
-from tests._toys import lookup_toy, reasoning_toy
+from tests._toys import GOOD_PHRASE, lookup_toy, reasoning_toy
 from tests.conftest import SampleCountingBackend, advance_subgoal, rationale
 
 
@@ -319,6 +321,53 @@ class TestSelectionEquivalence:
             root = self._random_tree(rng)
             c = rng.uniform(0, 2.5)
             assert select_path(root, c) == self._brute_force_path(root, c)
+
+
+def _descent_stopping_at_leaves(root, c, detector):
+    """UCB1 descent that also stops at dead and terminal nodes, by `ucb1` itself."""
+    path = [root]
+    node = root
+    while (
+        node.pending is not None and not node.pending and node.children
+        and not node.dead and not is_terminal(node.state, detector)
+    ):
+        scores = [ucb1(child.v, child.n, node.n, c) for child in node.children]
+        node = node.children[scores.index(max(scores))]
+        path.append(node)
+    return path
+
+
+class TestSelectionOnLiveTrees:
+    """`select_path` skips the dead and terminal checks: such nodes never get children."""
+
+    @pytest.mark.parametrize("family, sentinel", [
+        ("reasoning", GOOD_PHRASE),
+        ("lookup", "catalog"),
+    ])
+    @pytest.mark.parametrize("c", [0.5, math.sqrt(2), 3.0])
+    def test_dead_and_terminal_nodes_stay_leaves(self, family, sentinel, c):
+        if family == "reasoning":
+            toy, corpus, horizon = reasoning_toy(1, n_candidates=3, horizon=8), None, 8
+        else:
+            toy = lookup_toy(1, horizon=12)
+            corpus, horizon = build_index(toy.corpus_documents), 12
+        detector = SentinelAnswerDetector(sentinel=sentinel)
+        cfg = MctsConfig(iterations=96, exploration=c, sampling=SamplingConfig(k=3),
+                         horizon=horizon)
+        seen = {"dead": 0, "detected": 0}
+
+        def check(root, _iteration):
+            for node in root.walk():
+                if node.dead or is_terminal(node.state, detector):
+                    assert not node.children and not node.pending
+                seen["dead"] += node.dead
+                seen["detected"] += node.observation is not None and detector(node.observation)
+            assert select_path(root, c) == _descent_stopping_at_leaves(root, c, detector)
+
+        run_mcts(toy.problems[0], toy.backend, CheckerOracle(), cfg, corpus=corpus,
+                 detector=detector, iteration_hook=check)
+        # Both kinds of leaf occur, so the equivalence is not vacuous.
+        assert seen["dead"] and seen["detected"]
 
 
 def frozen_sibling_group(problem, stats):

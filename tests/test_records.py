@@ -49,6 +49,13 @@ def test_read_returns_what_header_and_lines_wrote(written):
         assert records.read(path, lambda record: record, ValueError, ("probe", 3)) == written
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(RECORDS, JSON_VALUES, st.floats()))
+def test_dumps_is_compact_json_dumps(value):
+    # `dumps` reuses one encoder; its bytes are those of a fresh `json.dumps`.
+    assert records.dumps(value) == json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+
+
 OBSERVATION_KINDS = [ObservationKind.RATIONALE, ObservationKind.QUERY, ObservationKind.DOC]
 
 
