@@ -1,8 +1,9 @@
-"""Command-line pipeline: index, collect, export-pairs, train-critic, solve, eval.
+"""Command-line pipeline: index, collect, train-critic, solve, eval.
 
 Every command echoes its resolved configuration and seed, writes deterministic
 outputs (timestamps are confined to one header line per file), and exits
-nonzero when a problem was skipped or an error occurred.
+nonzero when a problem failed or an error occurred. In `collect` and `solve` a
+failed problem costs only itself: every output file is still written whole.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ from . import critics as critics_mod
 from . import evaluation, generation, mcts, planner, records, retrieval
 from .config import EngineConfig, load_engine_config
 from .critics import CriticKind, LinearCritic, import_pairs, pairs_filename
-from .errors import ConfigurationError, CriticPlanError, IngestionError, SearchRunError
+from .errors import ConfigurationError, CriticPlanError, IngestionError
 from .mdp import ProblemInstance, TaskKind, format_trajectory_log
-
-logger = logging.getLogger(__name__)
 
 
 def _echo_config(config: EngineConfig) -> None:
@@ -32,16 +31,25 @@ def _echo_config(config: EngineConfig) -> None:
 
 
 def load_problems(path) -> list[ProblemInstance]:
-    """Read {problem_id, statement, gold_label, task_kind} records."""
+    """Read {problem_id, statement, gold_label, task_kind} records with unique ids."""
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"problems file not found: {path}")
-    return records.read(path, lambda record: ProblemInstance(
-        problem_id=str(record["problem_id"]),
-        statement=record["statement"],
-        gold_label=record.get("gold_label", ""),
-        task_kind=TaskKind(record.get("task_kind", "answer_match")),
-    ), ConfigurationError)
+    seen: set[str] = set()
+
+    def parse(record: dict) -> ProblemInstance:
+        problem = ProblemInstance(
+            problem_id=str(record["problem_id"]),
+            statement=record["statement"],
+            gold_label=record.get("gold_label", ""),
+            task_kind=TaskKind(record.get("task_kind", "answer_match")),
+        )
+        if problem.problem_id in seen:
+            raise ValueError(f"duplicate problem_id {problem.problem_id!r}")
+        seen.add(problem.problem_id)
+        return problem
+
+    return records.read(path, parse, ConfigurationError)
 
 
 def _present(spec: dict, *keys: str) -> dict:
@@ -122,6 +130,33 @@ def _load_corpus(config: EngineConfig) -> retrieval.Corpus | None:
     return retrieval.load_index(index_path)
 
 
+def _run_batch(ctx: click.Context, problems, run_one) -> list[tuple[ProblemInstance, object]]:
+    """(problem, `run_one(problem)`) for each problem in id order, on `--parallel` workers.
+
+    A run that raises a CriticPlanError gives the error as its result, and
+    `skipped <id>: <error>` is printed to stderr; the other problems go on.
+    """
+    def attempt(problem: ProblemInstance):
+        try:
+            return run_one(problem)
+        except CriticPlanError as err:
+            return err
+
+    problems = sorted(problems, key=lambda p: p.problem_id)
+    with ThreadPoolExecutor(max_workers=ctx.obj["parallel"]) as pool:
+        batch = list(zip(problems, pool.map(attempt, problems)))
+    for problem, result in batch:
+        if isinstance(result, CriticPlanError):
+            click.echo(f"skipped {problem.problem_id}: {result}", err=True)
+    return batch
+
+
+def _exit_if_failed(batch) -> None:
+    failed = [p.problem_id for p, result in batch if isinstance(result, CriticPlanError)]
+    if failed:
+        raise click.ClickException(f"skipped {len(failed)} problem(s): {', '.join(failed)}")
+
+
 @click.group()
 @click.option("--config", "config_path", required=True, type=click.Path(), help="Engine config file.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
@@ -176,7 +211,7 @@ def index(ctx: click.Context):
               help="Problem set file (defaults to paths.problems_file).")
 @click.pass_context
 def collect(ctx: click.Context, problems_path: str | None):
-    """Run tree search per problem and append the extracted preference pairs."""
+    """Run tree search per problem; write its tree dump and replace the pair files."""
     config: EngineConfig = ctx.obj["config"]
     _echo_config(config)
     problems = load_problems(problems_path or config.path("problems_file"))
@@ -192,52 +227,18 @@ def collect(ctx: click.Context, problems_path: str | None):
         )
         return root, mcts.extract_pairs(root, problem)
 
-    problems = sorted(problems, key=lambda p: p.problem_id)
-    skipped = []
-    collected: dict[str, tuple] = {}
-    with ThreadPoolExecutor(max_workers=ctx.obj["parallel"]) as pool:
-        futures = {p.problem_id: pool.submit(run_one, p) for p in problems}
-        for problem in problems:
-            try:
-                collected[problem.problem_id] = futures[problem.problem_id].result()
-            except SearchRunError as err:
-                skipped.append(problem.problem_id)
-                click.echo(f"skipped {problem.problem_id}: {err}", err=True)
-
+    batch = _run_batch(ctx, problems, run_one)
     trees_dir = config.path("output_dir") / "trees"
     all_pairs = []
-    for problem_id, (root, pair_map) in collected.items():
-        mcts.dump_tree(root, trees_dir / f"{problem_id}.tree.jsonl")
-        all_pairs.extend(pair for pairs in pair_map.values() for pair in pairs)
+    for problem, result in batch:
+        if not isinstance(result, CriticPlanError):
+            root, pair_map = result
+            mcts.dump_tree(root, trees_dir / f"{problem.problem_id}.tree.jsonl")
+            all_pairs.extend(pair for pairs in pair_map.values() for pair in pairs)
     counts = critics_mod.export_pairs(all_pairs, config.path("pairs_dir"))
     for kind in CriticKind:
-        click.echo(f"pairs[{kind.value}]: {counts.get(kind, 0)}")
-    if skipped:
-        raise click.ClickException(f"skipped {len(skipped)} problem(s): {', '.join(skipped)}")
-
-
-@main.command("export-pairs")
-@click.option("--dest", required=True, type=click.Path(), help="Destination directory.")
-@click.pass_context
-def export_pairs_cmd(ctx: click.Context, dest: str):
-    """Validate the collected pair files and re-export them for external trainers."""
-    config: EngineConfig = ctx.obj["config"]
-    _echo_config(config)
-    pairs_dir = config.path("pairs_dir")
-    exported_any = False
-    for kind in CriticKind:
-        source = pairs_dir / pairs_filename(kind)
-        if not source.exists():
-            continue
-        pairs = import_pairs(source)
-        if pairs:
-            critics_mod.export_pairs(pairs, dest)
-        exported_any = True
-        click.echo(f"pairs[{kind.value}]: {len(pairs)}")
-    if not exported_any:
-        raise click.ClickException(
-            f"no pair files under {pairs_dir} (produce them with `criticplan collect`)"
-        )
+        click.echo(f"pairs[{kind.value}]: {counts[kind]}")
+    _exit_if_failed(batch)
 
 
 @main.command("train-critic")
@@ -284,35 +285,35 @@ def solve(ctx: click.Context, problems_path: str | None, critics_mode: str | Non
     critic_backends = _critics_from_config(config, critics_mode)
     corpus = _load_corpus(config)
     cfg = config.planner_config()
+    if corpus is None and any(p.task_kind is TaskKind.RETRIEVAL_RANKING for p in problems):
+        raise ConfigurationError(
+            "ranking tasks need paths.index_path (produce it with `criticplan index`)"
+        )
 
     def run_one(problem: ProblemInstance):
         if problem.task_kind is TaskKind.RETRIEVAL_RANKING:
-            if corpus is None:
-                raise ConfigurationError(
-                    "ranking tasks need paths.index_path (produce it with `criticplan index`)"
-                )
             return planner.solve_for_ranking(problem, critic_backends, generator, cfg, corpus)
         return planner.solve(problem, critic_backends, generator, cfg, corpus=corpus)
 
-    problems = sorted(problems, key=lambda p: p.problem_id)
-    with ThreadPoolExecutor(max_workers=ctx.obj["parallel"]) as pool:
-        futures = [pool.submit(run_one, p) for p in problems]
-        solved = [future.result() for future in futures]
-
+    batch = _run_batch(ctx, problems, run_one)
+    solved = [result for _, result in batch if not isinstance(result, CriticPlanError)]
     output_dir = config.path("output_dir")
-    for name, format_name, render in (
-        ("results.jsonl", "solve-results", lambda result: records.lines([_result_record(result)])),
-        ("decisions.jsonl", "decision-log", planner.format_decision_log),
+    for name, format_name, body in (
+        ("results.jsonl", "solve-results", records.lines(_result_record(*item) for item in batch)),
+        ("decisions.jsonl", "decision-log", "".join(map(planner.format_decision_log, solved))),
         ("trajectories.jsonl", "trajectory-log",
-         lambda result: format_trajectory_log(result.trajectory)),
+         "".join(format_trajectory_log(result.trajectory) for result in solved)),
     ):
-        records.write(output_dir / name, records.header(format_name, seed=config.seed)
-                      + "".join(map(render, solved)))
+        records.write(output_dir / name, records.header(format_name, seed=config.seed) + body)
     click.echo(f"solved: {len(solved)}")
     click.echo(f"results written: {output_dir / 'results.jsonl'}")
+    _exit_if_failed(batch)
 
 
-def _result_record(result) -> dict:
+def _result_record(problem: ProblemInstance, result) -> dict:
+    if isinstance(result, CriticPlanError):
+        error = f"{type(result).__name__}: {result}"
+        return {"problem_id": problem.problem_id, "task": problem.task_kind.value, "error": error}
     if isinstance(result, planner.RankingResult):
         return {
             "problem_id": result.problem_id,
@@ -346,15 +347,19 @@ def eval_cmd(ctx: click.Context, results_path: str | None, judgments_path: str |
         )
     problems = {p.problem_id: p for p in load_problems(config.path("problems_file"))}
 
-    answer_rows: list[tuple[ProblemInstance, str]] = []
+    # A failed problem's record carries an `error`: a wrong answer, an empty ranking.
+    answer_rows: list[tuple[ProblemInstance, str] | evaluation.ProblemOutcome] = []
     ranking_rows: dict[str, list[str]] = {}
 
     def read_result(record: dict) -> None:
         problem = problems.get(record["problem_id"])
         if problem is None:
             raise ValueError(f"result for unknown problem {record['problem_id']!r}")
+        error = record.get("error")
         if record["task"] == "retrieval_ranking":
-            ranking_rows[problem.problem_id] = list(record["doc_ids"])
+            ranking_rows[problem.problem_id] = [] if error else list(record["doc_ids"])
+        elif error:
+            answer_rows.append(evaluation.ProblemOutcome(problem.problem_id, False, error=error))
         else:
             answer_rows.append((problem, record["final_answer"]))
 

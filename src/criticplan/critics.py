@@ -473,22 +473,20 @@ def pairs_filename(kind: CriticKind) -> str:
 
 
 def export_pairs(pairs: Iterable[PreferencePair], directory) -> dict[CriticKind, int]:
-    """Append pairs to kind-partitioned files under `directory`.
+    """Replace the four kind-partitioned pair files under `directory` with `pairs`.
 
     Each file starts with a format-version header line (the only line carrying
-    a timestamp). A file is rewritten whole, its previous bytes followed by the
-    new lines. Returns per-kind appended counts.
+    a timestamp), followed by its kind's pairs in the given order; a kind with
+    no pairs gets a header-only file. Returns the per-kind counts.
     """
     directory = Path(directory)
-    by_kind: dict[CriticKind, list[PreferencePair]] = {}
+    by_kind: dict[CriticKind, list[PreferencePair]] = {kind: [] for kind in CriticKind}
     for pair in pairs:
-        by_kind.setdefault(pair.kind, []).append(pair)
+        by_kind[pair.kind].append(pair)
     for kind, kind_pairs in by_kind.items():
-        path = directory / pairs_filename(kind)
-        head = records.read_existing(path)
-        if head is None:
-            head = records.header(*PAIRS_HEADER, kind=kind.value).encode("utf-8")
-        records.write(path, head + records.lines(map(_pair_record, kind_pairs)).encode("utf-8"))
+        records.write(directory / pairs_filename(kind),
+                      records.header(*PAIRS_HEADER, kind=kind.value)
+                      + records.lines(map(_pair_record, kind_pairs)))
     return {kind: len(kind_pairs) for kind, kind_pairs in by_kind.items()}
 
 

@@ -65,16 +65,21 @@ class AccuracyReport:
 
 
 def accuracy(
-    results: Sequence[tuple[ProblemInstance, str]], checker: AnswerChecker
+    results: Sequence[tuple[ProblemInstance, str] | ProblemOutcome], checker: AnswerChecker
 ) -> AccuracyReport:
     """Fraction of (problem, final_answer) pairs the checker accepts.
 
-    A checker crash counts the problem incorrect and is logged.
+    A checker crash counts the problem incorrect and is logged. A
+    ProblemOutcome among `results` (a problem whose solve failed) is kept as is.
     """
     if not results:
         raise ContractViolationError("empty result set")
     outcomes = []
-    for problem, final_answer in results:
+    for row in results:
+        if isinstance(row, ProblemOutcome):
+            outcomes.append(row)
+            continue
+        problem, final_answer = row
         try:
             ok = checker.check(problem, final_answer)
             outcomes.append(ProblemOutcome(problem.problem_id, ok))

@@ -268,16 +268,13 @@ def _backpropagate(node: TreeNode, reward_value: float) -> None:
 
 
 def extract_pairs(
-    root: TreeNode,
-    problem: ProblemInstance,
-    max_rejected_per_group: int | None = None,
+    root: TreeNode, problem: ProblemInstance
 ) -> dict[CriticKind, list[PreferencePair]]:
     """Mine preference pairs from every sibling group with >= 2 visited children.
 
     Children are scored by mean value v/n (ties: higher n, then earlier
     materialization); the top child is chosen and one pair is emitted per
-    strictly lower-scored sibling. `max_rejected_per_group` optionally keeps
-    only the highest-scored rejected siblings.
+    strictly lower-scored sibling.
     """
     out: dict[CriticKind, list[PreferencePair]] = {kind: [] for kind in CriticKind}
     for parent in root.walk():
@@ -289,8 +286,6 @@ def extract_pairs(
         )
         chosen = ranked[0][1]
         rejected = [c for _, c in ranked[1:] if c.mean_value < chosen.mean_value]
-        if max_rejected_per_group is not None:
-            rejected = rejected[:max_rejected_per_group]
         if not rejected:
             continue
         kind = critic_kind_for(parent.state)

@@ -238,15 +238,13 @@ def subgoal_actions(state: State) -> list[ChooseSubGoal]:
 
 
 def candidate_actions(
-    state: State, candidates: Sequence[Observation], max_candidates: int | None = None
+    state: State, candidates: Sequence[Observation]
 ) -> list[ChooseCandidate]:
     """One ChooseCandidate per supplied candidate, kind-checked against the pending sub-goal."""
     pending = state.pending_subgoal()
     if pending is None:
         raise ContractViolationError("candidate actions require a pending sub-goal")
     expected = EXECUTION_FOR[pending]
-    if max_candidates is not None:
-        candidates = candidates[:max_candidates]
     actions = []
     for i, obs in enumerate(candidates):
         if obs.kind is not expected:
@@ -258,11 +256,7 @@ def candidate_actions(
     return actions
 
 
-def action_space(
-    state: State,
-    candidates: Sequence[Observation] = (),
-    max_candidates: int | None = None,
-) -> list[Action]:
+def action_space(state: State, candidates: Sequence[Observation] = ()) -> list[Action]:
     """All legal actions at `state`.
 
     Decision points return sub-goal actions (with `retrieving` masked while no
@@ -273,7 +267,7 @@ def action_space(
         raise TerminalStateError("no actions at terminal state")
     if state.at_decision_point():
         return list(subgoal_actions(state))
-    return list(candidate_actions(state, candidates, max_candidates))
+    return list(candidate_actions(state, candidates))
 
 
 def subgoal_observation(action: ChooseSubGoal) -> Observation:

@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from criticplan.critics import (
     train_reference_critic,
 )
 from criticplan.errors import (
+    BackendError,
     ConfigurationError,
     CriticPlanError,
     IngestionError,
@@ -32,7 +34,13 @@ from criticplan.generation import HttpGeneratorBackend, SamplingConfig
 from criticplan.mcts import MctsConfig
 from criticplan.planner import PlannerConfig
 from criticplan.retrieval import Bm25Params
-from tests._toys import lookup_toy, ranking_toy, reasoning_toy, write_workspace
+from tests._toys import (
+    lookup_toy,
+    ranking_toy,
+    reasoning_toy,
+    write_problems_file,
+    write_workspace,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -171,9 +179,9 @@ class TestOutputFiles:
         assert target.read_bytes() == before
         assert not list(target.parent.glob(".*.tmp"))
 
-    # A directory where the output file goes. The results file is only
-    # written; the index (its up-to-date check) and a pair file (appended to)
-    # are read before they are replaced.
+    # A directory where the output file goes. The results file and a pair
+    # file are only written; the index is read (its up-to-date check) before
+    # it is replaced.
     @pytest.mark.parametrize("relative, commands", [
         ("out/results.jsonl", ["index", SOLVE]),
         ("out/index.bm25", ["index"]),
@@ -332,6 +340,7 @@ class TestLoadProblems:
         ("[1, 2]", "list"),
         ('{"problem_id": "p2", "statement": "s", "gold_label": 42}', "gold_label"),
         ('{"problem_id": "p2", "statement": ["s"]}', "statement"),
+        (GOOD, "duplicate problem_id 'p1'"),
     ])
     def test_bad_line_names_file_and_line(self, tmp_path, bad_line, message):
         path = tmp_path / "problems.jsonl"
@@ -339,6 +348,28 @@ class TestLoadProblems:
         with pytest.raises(ConfigurationError, match=message) as err:
             load_problems(path)
         assert f"{path}:3:" in str(err.value)
+
+    @pytest.mark.parametrize("command", ["collect", SOLVE, "eval"])
+    def test_commands_reject_duplicate_problem_id(self, runner, tmp_path, command):
+        toy = reasoning_toy(2)
+        config = write_workspace(tmp_path, toy.problems, toy.sample_rules, toy.conclude_rules)
+        run_cli(runner, config, *SOLVE.split())
+        results = (tmp_path / "out" / "results.jsonl").read_bytes()
+        problems_path = tmp_path / "problems.jsonl"
+        write_problems_file(problems_path, toy.problems + toy.problems[:1])
+        result = runner.invoke(main, ["--config", config, *command.split()])
+        assert isinstance(result.exception, ConfigurationError)
+        assert str(result.exception) == f"{problems_path}:3: duplicate problem_id 'reason-000'"
+        assert (tmp_path / "out" / "results.jsonl").read_bytes() == results
+        assert not (tmp_path / "pairs").exists()
+
+
+def test_readme_pipeline_names_every_command():
+    text = README.read_text(encoding="utf-8").split("## Command-line pipeline", 1)[1]
+    block = text.split("```bash\n", 1)[1].split("```", 1)[0]
+    documented = [line.split()[3] for line in block.splitlines()
+                  if line.startswith("criticplan --config ")]
+    assert sorted(documented) == sorted(main.commands)
 
 
 class TestCollectCommand:
@@ -383,27 +414,14 @@ class TestCollectCommand:
             assert body_a == body_b
 
 
-class TestExportPairsCommand:
-    def test_validates_and_reexports(self, runner, tmp_path):
-        config = mixed_suite(tmp_path)
-        run_cli(runner, config, "index")
+    def test_rerun_replaces_pair_files(self, runner, tmp_path):
+        toy = reasoning_toy(3)
+        config = write_workspace(tmp_path, toy.problems, toy.sample_rules, toy.conclude_rules)
         run_cli(runner, config, "collect")
-        dest = tmp_path / "exported"
-        result = run_cli(runner, config, "export-pairs", "--dest", str(dest))
-        assert "pairs[rationale]:" in result.output
-        for kind in CriticKind:
-            source = tmp_path / "pairs" / f"pairs_{kind.value}.jsonl"
-            copy = dest / f"pairs_{kind.value}.jsonl"
-            assert copy.exists()
-            assert source.read_text().splitlines()[1:] == copy.read_text().splitlines()[1:]
-
-    def test_missing_pairs_dir_errors_actionably(self, runner, tmp_path):
-        config = mixed_suite(tmp_path)
-        result = runner.invoke(
-            main, ["--config", config, "export-pairs", "--dest", str(tmp_path / "x")]
-        )
-        assert result.exit_code != 0
-        assert "criticplan collect" in result.output
+        first = _bodies(tmp_path)
+        assert any(body for name, body in first.items() if name.startswith("pairs/"))
+        run_cli(runner, config, "collect")
+        assert _bodies(tmp_path) == first
 
 
 class TestTrainCommand:
@@ -530,3 +548,127 @@ class TestSkippedProblems:
         assert f"skipped {broken}" in result.output
         # The other problems were still collected.
         assert (tmp_path / "pairs" / "pairs_rationale.jsonl").exists()
+
+
+class FlakyGenerator:
+    """Wraps a generator; a request fails when its prompt's crc32 is 0 modulo `n`.
+
+    Which requests fail depends on their content, not on call order, so the
+    same ones fail at any --parallel.
+    """
+
+    def __init__(self, inner, n: int):
+        self.inner, self.n = inner, n
+
+    def _check(self, prompt: str) -> None:
+        if zlib.crc32(prompt.encode("utf-8")) % self.n == 0:
+            raise BackendError("injected failure")
+
+    def sample(self, prompt: str, k: int, temperature: float) -> list[str]:
+        self._check(prompt)
+        return self.inner.sample(prompt, k, temperature)
+
+    def conclude(self, prompt: str) -> str:
+        self._check(prompt)
+        return self.inner.conclude(prompt)
+
+
+def _bodies(root: Path) -> dict[str, list[str]]:
+    """Each record file `collect` and `solve` write under `root`, without its header."""
+    paths = [*(root / "pairs").glob("*.jsonl"), *(root / "out").rglob("*.jsonl")]
+    return {path.relative_to(root).as_posix(): path.read_text(encoding="utf-8").splitlines()[1:]
+            for path in sorted(paths)}
+
+
+class TestBatchFailures:
+    # At this modulus some of `mixed_suite`'s problems fail in `collect` and
+    # in `solve`, and others succeed.
+    MODULUS = 37
+
+    def _flaky_batch(self, runner, monkeypatch, root: Path, parallel: str) -> None:
+        make = cli._generator_from_config
+        monkeypatch.setattr(cli, "_generator_from_config",
+                            lambda config: FlakyGenerator(make(config), self.MODULUS))
+        config = mixed_suite(root)
+        run_cli(runner, config, "index")
+        for command in ("collect", SOLVE):
+            result = run_cli(runner, config, "--parallel", parallel, *command.split(),
+                             expect_exit=1)
+            assert "skipped " in result.output
+        monkeypatch.undo()
+
+    def test_injected_failures_give_equal_files_at_any_parallel(self, runner, tmp_path,
+                                                               monkeypatch):
+        for parallel in ("1", "2"):
+            self._flaky_batch(runner, monkeypatch, tmp_path / parallel, parallel)
+        bodies = _bodies(tmp_path / "1")
+        assert _bodies(tmp_path / "2") == bodies
+        results = [json.loads(line) for line in bodies["out/results.jsonl"]]
+        failed = {r["problem_id"] for r in results if "error" in r}
+        assert 0 < len(failed) < len(results)
+        assert all(r == {"problem_id": r["problem_id"], "task": r["task"],
+                         "error": "BackendError: injected failure"}
+                   for r in results if "error" in r)
+        for name in ("out/decisions.jsonl", "out/trajectories.jsonl"):
+            logged = {json.loads(line)["problem_id"] for line in bodies[name]}
+            assert logged == {r["problem_id"] for r in results} - failed
+        trees = [name for name in bodies if name.startswith("out/trees/")]
+        assert 0 < len(trees) < len(results)
+
+    def test_healthy_rerun_after_failures_equals_clean_run(self, runner, tmp_path, monkeypatch):
+        self._flaky_batch(runner, monkeypatch, tmp_path / "rerun", "2")
+        for root in ("rerun", "clean"):
+            config = mixed_suite(tmp_path / root)
+            for command in ("index", "collect", SOLVE):
+                run_cli(runner, config, *command.split())
+        assert _bodies(tmp_path / "rerun") == _bodies(tmp_path / "clean")
+
+    def test_failed_solve_problem_is_recorded_and_scored_wrong(self, runner, tmp_path):
+        toy = reasoning_toy(3, n_candidates=2, horizon=4)
+        broken = toy.problems[1].problem_id
+        sample_rules = [rule for rule in toy.sample_rules if f"<{broken}>:" not in rule["match"]]
+        config = write_workspace(
+            tmp_path, toy.problems, sample_rules, toy.conclude_rules, horizon=4
+        )
+        result = run_cli(runner, config, *SOLVE.split(), expect_exit=1)
+        message = "no scripted sampling rule matches the prompt"
+        assert f"skipped {broken}: {message}" in result.output
+        assert "solved: 2" in result.output
+        bodies = _bodies(tmp_path)
+        results = [json.loads(line) for line in bodies["out/results.jsonl"]]
+        assert [r["problem_id"] for r in results] == [p.problem_id for p in toy.problems]
+        assert results[1] == {"problem_id": broken, "task": "answer_match",
+                              "error": f"BackendError: {message}"}
+        for name in ("out/decisions.jsonl", "out/trajectories.jsonl"):
+            assert broken not in {json.loads(line)["problem_id"] for line in bodies[name]}
+        # Constant critics take candidate 0 at both steps, which only reason-000 needs.
+        result = run_cli(runner, config, "eval")
+        assert "accuracy: 0.333333" in result.output
+        report = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8").splitlines()
+        assert f"answer\t{broken}\tincorrect\terror=BackendError: {message}" in report
+
+    def test_eval_counts_failed_records_wrong(self, runner, tmp_path):
+        problems = tmp_path / "problems.jsonl"
+        problems.write_text(
+            '{"problem_id": "p1", "statement": "s", "gold_label": "x"}\n'
+            '{"problem_id": "p2", "statement": "s", "gold_label": "y"}\n'
+            '{"problem_id": "r1", "statement": "s", "task_kind": "retrieval_ranking"}\n'
+        )
+        judgments = tmp_path / "judgments.jsonl"
+        judgments.write_text('{"problem_id": "r1", "relevant_doc_ids": ["d1"]}\n')
+        results = tmp_path / "out" / "results.jsonl"
+        records.write(results, records.header("solve-results") + records.lines([
+            {"problem_id": "p1", "task": "answer_match", "final_answer": "x"},
+            {"problem_id": "p2", "task": "answer_match", "error": "BackendError: down"},
+            {"problem_id": "r1", "task": "retrieval_ranking", "error": "BackendError: down"},
+        ]))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": {
+            "problems_file": str(problems), "judgments_file": str(judgments),
+            "output_dir": str(tmp_path / "out")}}))
+        result = run_cli(runner, config, "eval")
+        assert "accuracy: 0.500000" in result.output
+        assert "mean nDCG@10: 0.000000" in result.output
+        report = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8").splitlines()
+        assert "answer\tp2\tincorrect\terror=BackendError: down" in report
+        assert "ranking\tr1\tndcg@10=0.000000" in report

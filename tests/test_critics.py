@@ -551,15 +551,18 @@ class TestPairFiles:
         with pytest.raises(PairFormatError):
             import_pairs(path)
 
-    def test_append_preserves_single_header(self, tmp_path):
-        export_pairs([make_pair(CriticKind.QUERY, "one GOOD", "one BAD")], tmp_path)
-        export_pairs([make_pair(CriticKind.QUERY, "two GOOD", "two BAD")], tmp_path)
-        path = tmp_path / pairs_filename(CriticKind.QUERY)
-        assert len(import_pairs(path)) == 2
-        headers = [
-            line for line in path.read_text().splitlines() if "preference-pairs" in line
-        ]
-        assert len(headers) == 1
+    def test_second_export_replaces_first(self, tmp_path):
+        export_pairs([make_pair(CriticKind.QUERY, "one GOOD", "one BAD"),
+                      make_pair(CriticKind.DOC, "old GOOD", "old BAD")], tmp_path)
+        second = [make_pair(CriticKind.QUERY, "two GOOD", "two BAD")]
+        counts = export_pairs(second, tmp_path)
+        assert counts == {CriticKind.SUBGOAL: 0, CriticKind.RATIONALE: 0,
+                          CriticKind.QUERY: 1, CriticKind.DOC: 0}
+        assert import_pairs(tmp_path / pairs_filename(CriticKind.QUERY)) == second
+        # The kind the second export has no pairs for is left header-only.
+        doc_lines = (tmp_path / pairs_filename(CriticKind.DOC)).read_text().splitlines()
+        assert len(doc_lines) == 1
+        assert json.loads(doc_lines[0])["kind"] == "doc"
 
     def test_strictness_of_pair_values(self):
         with pytest.raises(ContractViolationError):

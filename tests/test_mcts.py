@@ -411,13 +411,6 @@ class TestExtractPairs:
         assert all(p.chosen.text == "candidate 1" for p in pairs)
         assert len(pairs) == 1
 
-    def test_max_rejected_subsampling(self, problem):
-        parent = frozen_sibling_group(problem, [(9, 10), (5, 10), (3, 10), (1, 10)])
-        pairs = extract_pairs(parent, problem, max_rejected_per_group=2)
-        assert len(pairs[CriticKind.RATIONALE]) == 2
-        values = [p.rejected_value for p in pairs[CriticKind.RATIONALE]]
-        assert values == [0.5, 0.3]
-
     def test_single_visited_child_contributes_nothing(self, problem):
         parent = frozen_sibling_group(problem, [(1, 2), (0, 0)])
         pairs = extract_pairs(parent, problem)
@@ -443,10 +436,13 @@ class TestReproducibility:
         cfg = MctsConfig(iterations=32, sampling=SamplingConfig(k=2), horizon=toy.horizon)
 
         def collect(directory):
+            all_pairs = []
             for problem in toy.problems:
                 root = run_mcts(problem, toy.backend, CheckerOracle(), cfg)
                 pairs = extract_pairs(root, problem)
-                export_pairs([p for group in pairs.values() for p in group], directory)
+                all_pairs.extend(p for group in pairs.values() for p in group)
+            assert {p.problem_id for p in all_pairs} == {p.problem_id for p in toy.problems}
+            export_pairs(all_pairs, directory)
 
         collect(tmp_path / "a")
         collect(tmp_path / "b")

@@ -108,11 +108,6 @@ class TestActionSpace:
         assert [a.index for a in actions] == [0, 1, 2]
         assert all(isinstance(a, ChooseCandidate) for a in actions)
 
-    def test_candidate_cap(self, problem):
-        state = advance_subgoal(root_state(problem), SubGoal.REASONING)
-        candidates = [rationale(f"r{i}") for i in range(5)]
-        assert len(action_space(state, candidates, max_candidates=3)) == 3
-
     def test_terminal_state_errors(self, problem):
         state = root_state(problem, horizon=2)
         state = advance_subgoal(state, SubGoal.REASONING)
