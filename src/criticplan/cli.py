@@ -350,11 +350,14 @@ def eval_cmd(ctx: click.Context, results_path: str | None, judgments_path: str |
     # A failed problem's record carries an `error`: a wrong answer, an empty ranking.
     answer_rows: list[tuple[ProblemInstance, str] | evaluation.ProblemOutcome] = []
     ranking_rows: dict[str, list[str]] = {}
+    unrecorded = dict(problems)
 
     def read_result(record: dict) -> None:
         problem = problems.get(record["problem_id"])
         if problem is None:
             raise ValueError(f"result for unknown problem {record['problem_id']!r}")
+        if unrecorded.pop(problem.problem_id, None) is None:
+            raise ValueError(f"duplicate problem_id {problem.problem_id!r}")
         error = record.get("error")
         if record["task"] == "retrieval_ranking":
             ranking_rows[problem.problem_id] = [] if error else list(record["doc_ids"])
@@ -364,6 +367,15 @@ def eval_cmd(ctx: click.Context, results_path: str | None, judgments_path: str |
             answer_rows.append((problem, record["final_answer"]))
 
     records.read(results_file, read_result, ConfigurationError, header=("solve-results", 1))
+    if len(unrecorded) == len(problems):
+        raise click.ClickException("results file contains no result records")
+    # A problem of the set without a record failed too: wrong, or an empty ranking.
+    for problem in unrecorded.values():
+        if problem.task_kind is TaskKind.RETRIEVAL_RANKING:
+            ranking_rows[problem.problem_id] = []
+        else:
+            answer_rows.append(
+                evaluation.ProblemOutcome(problem.problem_id, False, error="no result record"))
 
     answer_report = None
     ranking_mean = None
@@ -381,8 +393,6 @@ def eval_cmd(ctx: click.Context, results_path: str | None, judgments_path: str |
         judgments = evaluation.load_judgments(source)
         ranking_mean, per_problem = evaluation.ranking_report(ranking_rows, judgments)
         click.echo(f"mean nDCG@10: {ranking_mean:.6f}")
-    if not answer_rows and not ranking_rows:
-        raise click.ClickException("results file contains no result records")
 
     report_path = config.path("output_dir") / "report.txt"
     body = evaluation.format_metric_report(answer_report, ranking_mean, per_problem)

@@ -11,9 +11,11 @@ Preference files feed external reward-model trainers unchanged.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import zlib
 from collections import Counter
+from functools import lru_cache, partial
 from itertools import chain
 from dataclasses import dataclass
 from enum import Enum
@@ -51,6 +53,7 @@ class CriticKind(Enum):
     RATIONALE = "rationale"
     QUERY = "query"
     DOC = "doc"
+    __hash__ = object.__hash__  # members compare by identity; skips Enum's Python-level hash
 
 
 # Critic kind that judges the children of a state ending in each observation.
@@ -224,20 +227,30 @@ class FeaturizerSpec:
             raise ContractViolationError("featurizer dim must be >= 2")
 
 
+def _bucket_ids(dim: int, text: str) -> tuple[int, ...]:
+    """crc32(utf-8 token) % dim for each token of `text`, with the loop run by `map` in C."""
+    return tuple(map(dim.__rmod__, map(zlib.crc32, map(str.encode, text.lower().split()))))
+
+
 class HashedTextFeaturizer:
     """Hashed bag-of-words over the concatenated context and candidate text.
 
-    Token hashing uses crc32 so features are stable across processes.
+    Token hashing uses crc32 so features are stable across processes. Each
+    instance keeps the bucket ids of its last 4096 distinct texts, so context
+    sent again with every candidate and step is not hashed again.
     """
 
     def __init__(self, spec: FeaturizerSpec):
         self.spec = spec
+        self.bucket_ids = lru_cache(maxsize=4096)(partial(_bucket_ids, spec.dim))
+
+    def counts(self, texts: Iterable[str]) -> Counter:
+        """Token count per bucket over all of `texts`."""
+        return Counter(chain.from_iterable(map(self.bucket_ids, texts)))
 
     def sparse(self, texts: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
         """Nonzero buckets of `texts`: increasing int64 indices, float64 counts."""
-        tokens = chain.from_iterable(text.lower().split() for text in texts)
-        # crc32(utf-8 token) % dim per token, with the loop run by `map` in C.
-        counts = Counter(map(self.spec.dim.__rmod__, map(zlib.crc32, map(str.encode, tokens))))
+        counts = self.counts(texts)
         indices = np.fromiter(counts, np.int64, len(counts))
         order = indices.argsort()
         return indices[order], np.fromiter(counts.values(), np.float64, len(counts))[order]
@@ -261,8 +274,9 @@ class LinearCritic:
     def score(self, ctx: CriticContext) -> float:
         """Sum of count x weight over its buckets, rounded once: no BLAS or order effects."""
         texts = [obs.text for obs in ctx.context_observations] + [ctx.candidate.text]
-        indices, counts = self.featurizer.sparse(texts)
-        return math.fsum((counts * self.weights[indices]).tolist())
+        counts = self.featurizer.counts(texts)
+        weights = self.weights[np.fromiter(counts, np.int64, len(counts))].tolist()
+        return math.fsum(map(operator.mul, counts.values(), weights))
 
     def save(self, path) -> None:
         payload = {

@@ -32,6 +32,7 @@ class ObservationKind(Enum):
     RATIONALE = "rationale"
     QUERY = "query"
     DOC = "doc"
+    __hash__ = object.__hash__  # members compare by identity; skips Enum's Python-level hash
 
 
 SUBGOAL_KINDS = frozenset(

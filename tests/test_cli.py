@@ -72,6 +72,25 @@ def mixed_suite(root):
     )
 
 
+def _eval_workspace(root, result_records, golds=("x", "y")):
+    """Answer problems p1, p2, ... with `golds`, ranking problem r1 judged d1, and a
+    hand-written results file; returns the config path."""
+    problems = root / "problems.jsonl"
+    problems.write_text(records.lines(
+        [{"problem_id": f"p{i}", "statement": "s", "gold_label": gold}
+         for i, gold in enumerate(golds, start=1)]
+        + [{"problem_id": "r1", "statement": "s", "task_kind": "retrieval_ranking"}]))
+    judgments = root / "judgments.jsonl"
+    judgments.write_text('{"problem_id": "r1", "relevant_doc_ids": ["d1"]}\n')
+    records.write(root / "out" / "results.jsonl",
+                  records.header("solve-results") + records.lines(result_records))
+    config = root / "config.json"
+    config.write_text(json.dumps({"paths": {
+        "problems_file": str(problems), "judgments_file": str(judgments),
+        "output_dir": str(root / "out")}}))
+    return config
+
+
 class TestIndexCommand:
     def test_builds_and_reports(self, runner, tmp_path):
         config = mixed_suite(tmp_path)
@@ -648,27 +667,55 @@ class TestBatchFailures:
         assert f"answer\t{broken}\tincorrect\terror=BackendError: {message}" in report
 
     def test_eval_counts_failed_records_wrong(self, runner, tmp_path):
-        problems = tmp_path / "problems.jsonl"
-        problems.write_text(
-            '{"problem_id": "p1", "statement": "s", "gold_label": "x"}\n'
-            '{"problem_id": "p2", "statement": "s", "gold_label": "y"}\n'
-            '{"problem_id": "r1", "statement": "s", "task_kind": "retrieval_ranking"}\n'
-        )
-        judgments = tmp_path / "judgments.jsonl"
-        judgments.write_text('{"problem_id": "r1", "relevant_doc_ids": ["d1"]}\n')
-        results = tmp_path / "out" / "results.jsonl"
-        records.write(results, records.header("solve-results") + records.lines([
+        config = _eval_workspace(tmp_path, [
             {"problem_id": "p1", "task": "answer_match", "final_answer": "x"},
             {"problem_id": "p2", "task": "answer_match", "error": "BackendError: down"},
             {"problem_id": "r1", "task": "retrieval_ranking", "error": "BackendError: down"},
-        ]))
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"paths": {
-            "problems_file": str(problems), "judgments_file": str(judgments),
-            "output_dir": str(tmp_path / "out")}}))
+        ])
         result = run_cli(runner, config, "eval")
         assert "accuracy: 0.500000" in result.output
         assert "mean nDCG@10: 0.000000" in result.output
         report = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8").splitlines()
         assert "answer\tp2\tincorrect\terror=BackendError: down" in report
         assert "ranking\tr1\tndcg@10=0.000000" in report
+
+    def test_eval_rejects_a_repeated_problem(self, runner, tmp_path):
+        # p1 twice, correct both times, used to score 2/3 with p2 wrong.
+        config = _eval_workspace(tmp_path, [
+            {"problem_id": "p1", "task": "answer_match", "final_answer": "x"},
+            {"problem_id": "p1", "task": "answer_match", "final_answer": "x"},
+            {"problem_id": "p2", "task": "answer_match", "final_answer": "wrong"},
+        ])
+        result = runner.invoke(main, ["--config", str(config), "eval"])
+        assert isinstance(result.exception, ConfigurationError)
+        results = tmp_path / "out" / "results.jsonl"
+        assert str(result.exception) == f"{results}:3: duplicate problem_id 'p1'"
+        assert not (tmp_path / "out" / "report.txt").exists()
+        # Without the repeat, the file scores 1 of the 2 answer problems.
+        lines = results.read_text(encoding="utf-8").splitlines(keepends=True)
+        results.write_text("".join(lines[:2] + lines[3:]), encoding="utf-8")
+        assert "accuracy: 0.500000" in run_cli(runner, config, "eval").output
+
+    def test_eval_scores_a_problem_without_a_record_failed(self, runner, tmp_path):
+        # One correct record of a three-answer-problem set used to score 1.0.
+        config = _eval_workspace(tmp_path, [
+            {"problem_id": "p1", "task": "answer_match", "final_answer": "x"},
+        ], golds=("x", "y", "z"))
+        result = run_cli(runner, config, "eval")
+        assert "accuracy: 0.333333" in result.output
+        assert "mean nDCG@10: 0.000000" in result.output
+        report = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8").splitlines()
+        assert report[1:] == [
+            "answer\tp1\tcorrect",
+            "answer\tp2\tincorrect\terror=no result record",
+            "answer\tp3\tincorrect\terror=no result record",
+            "aggregate\taccuracy\t0.333333",
+            "ranking\tr1\tndcg@10=0.000000",
+            "aggregate\tmean_ndcg@10\t0.000000",
+        ]
+
+    def test_eval_of_an_empty_results_file_errors(self, runner, tmp_path):
+        config = _eval_workspace(tmp_path, [])
+        result = runner.invoke(main, ["--config", str(config), "eval"])
+        assert result.exit_code != 0
+        assert "results file contains no result records" in result.output

@@ -3,6 +3,9 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
+import threading
+import types
 import zlib
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from criticplan import critics
 from criticplan.critics import (
     ConstantCritic,
     CriticContext,
@@ -359,6 +363,13 @@ _AMPLIFYING = (CriticKind.QUERY, [([], "", ""), ([], "", "alpha " * 6 + "Beta"),
                                   ([], "alpha " * 4 + "Beta", "")])
 
 
+def _oracle_score(critic: LinearCritic, ctx: CriticContext) -> float:
+    """The score formula over `sparse`, from a fresh featurizer (a cold cache)."""
+    indices, counts = HashedTextFeaturizer(critic.featurizer.spec).sparse(
+        [o.text for o in ctx.context_observations] + [ctx.candidate.text])
+    return math.fsum((counts * critic.weights[indices]).tolist())
+
+
 class TestSparseFeatures:
     """The sparse featurizer, trainer and scorer against the dense references."""
 
@@ -420,6 +431,94 @@ class TestSparseFeatures:
             CriticKind.RATIONALE, "", tuple(rationale(t) for t in context), rationale(candidate)
         )
         assert abs(critic.score(ctx) - float(weights @ dense_context_vector(spec, ctx))) <= 1e-12
+
+    @given(_dims, st.lists(_texts, max_size=4), _texts, st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_score_equals_sparse_formula(self, dim, context, candidate, seed):
+        # Weights over 30 orders of magnitude, so a sum that is not exactly
+        # rounded, or a product that differs in its last bit, shows.
+        rng = np.random.default_rng(seed)
+        weights = rng.normal(size=dim) * 10.0 ** rng.integers(-15, 16, size=dim)
+        featurizer = HashedTextFeaturizer(FeaturizerSpec(dim))
+        critic = LinearCritic(CriticKind.SUBGOAL, weights, featurizer)
+        ctx = CriticContext(
+            CriticKind.SUBGOAL, "", tuple(rationale(t) for t in context), rationale(candidate)
+        )
+        expected = _oracle_score(critic, ctx)
+        assert critic.score(ctx) == expected
+        assert critic.score(ctx) == expected  # again, from the cache
+
+
+def _linear_critic(dim: int = 64) -> LinearCritic:
+    weights = np.random.default_rng(0).normal(size=dim)
+    return LinearCritic(CriticKind.SUBGOAL, weights, HashedTextFeaturizer(FeaturizerSpec(dim)))
+
+
+def _trajectory_contexts(steps: int) -> list[CriticContext]:
+    """Sub-goal contexts of one growing trajectory, three candidates per step."""
+    observations = tuple(rationale(f"step {i} reasons about Topic{i % 3}") for i in range(steps))
+    return [
+        CriticContext(CriticKind.SUBGOAL, "", observations[:step], rationale(f"option {c} now"))
+        for step in range(steps + 1)
+        for c in range(3)
+    ]
+
+
+class TestFeatureCache:
+    def test_each_distinct_text_is_hashed_once(self, monkeypatch):
+        calls = []
+
+        def crc32(data):
+            calls.append(data)
+            return zlib.crc32(data)
+
+        monkeypatch.setattr(critics, "zlib", types.SimpleNamespace(crc32=crc32))
+        critic = _linear_critic()
+        contexts = _trajectory_contexts(10)
+        for ctx in contexts:
+            critic.score(ctx)
+        distinct = {o.text for ctx in contexts for o in (*ctx.context_observations, ctx.candidate)}
+        assert len(calls) == sum(len(text.split()) for text in distinct)
+
+    def test_cache_is_bounded_and_eviction_keeps_scores(self):
+        critic = _linear_critic()
+        first = CriticContext(CriticKind.SUBGOAL, "", (), rationale("text 0 words"))
+        for i in range(5000):
+            critic.score(CriticContext(CriticKind.SUBGOAL, "", (), rationale(f"text {i} words")))
+        info = critic.featurizer.bucket_ids.cache_info()
+        assert info.misses == 5000 and info.currsize <= 4096
+        assert critic.score(first) == _oracle_score(critic, first)
+        assert critic.featurizer.bucket_ids.cache_info().misses == 5001
+
+    def test_two_featurizers_do_not_share_a_cache(self):
+        a, b = _linear_critic(), _linear_critic()
+        a.score(_trajectory_contexts(1)[0])
+        assert b.featurizer.bucket_ids.cache_info().currsize == 0
+
+    def test_threads_sharing_a_critic_give_single_thread_scores(self):
+        contexts = _trajectory_contexts(20)
+        reference = [_oracle_score(_linear_critic(), ctx) for ctx in contexts]
+        critic = _linear_critic()
+        results: dict[int, list[float]] = {}
+
+        def work(worker: int) -> None:
+            # Odd workers go backwards, so threads miss on different texts at once.
+            order = range(len(contexts))[::-1 if worker % 2 else 1]
+            scores = dict(zip(order, (critic.score(contexts[i]) for i in order)))
+            results[worker] = [scores[i] for i in range(len(contexts))]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {i: reference for i in range(4)}
 
 
 class TestArgmaxInvariance:
