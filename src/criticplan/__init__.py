@@ -12,8 +12,6 @@ from .critics import (
     CriticKind,
     FeaturizerSpec,
     LinearCritic,
-    LookupCritic,
-    LookupRule,
     PreferencePair,
     export_pairs,
     import_pairs,

@@ -225,7 +225,7 @@ def collect(ctx: click.Context, problems_path: str | None):
         root = mcts.run_mcts(
             problem, generator, oracle, cfg, corpus=corpus, detector=detector
         )
-        return root, mcts.extract_pairs(root, problem)
+        return root, mcts.extract_pairs(root)
 
     batch = _run_batch(ctx, problems, run_one)
     trees_dir = config.path("output_dir") / "trees"
@@ -358,8 +358,11 @@ def eval_cmd(ctx: click.Context, results_path: str | None, judgments_path: str |
             raise ValueError(f"result for unknown problem {record['problem_id']!r}")
         if unrecorded.pop(problem.problem_id, None) is None:
             raise ValueError(f"duplicate problem_id {problem.problem_id!r}")
+        if record["task"] != problem.task_kind.value:
+            raise ValueError(f"problem {problem.problem_id!r} has task_kind "
+                             f"{problem.task_kind.value!r}, not {record['task']!r}")
         error = record.get("error")
-        if record["task"] == "retrieval_ranking":
+        if problem.task_kind is TaskKind.RETRIEVAL_RANKING:
             ranking_rows[problem.problem_id] = [] if error else list(record["doc_ids"])
         elif error:
             answer_rows.append(evaluation.ProblemOutcome(problem.problem_id, False, error=error))

@@ -41,7 +41,6 @@ from .mdp import (
     Observation,
     ObservationKind,
     State,
-    subgoal_observation,
 )
 
 PAIRS_HEADER = ("preference-pairs", 1)
@@ -154,22 +153,20 @@ def reward(
 ) -> float:
     """Expected-reward estimate for taking `action` at `state`.
 
-    Candidates are judged by the critic of `critic_kind_for(state)`; sub-goal
-    choices by the sub-goal critic on the proposed marker.
+    The critic of `critic_kind_for(state)` scores the observation the action
+    yields: a sub-goal's marker at a decision point, else a candidate.
     """
     kind = critic_kind_for(state)
-    if kind is CriticKind.SUBGOAL:
-        if not isinstance(action, ChooseSubGoal):
-            raise ContractViolationError("decision points take sub-goal actions")
-        candidate = subgoal_observation(action)
-    else:
-        if not isinstance(action, ChooseCandidate):
-            raise ContractViolationError("sub-goal states take candidate actions")
-        candidate = action.candidate
+    expected = ChooseSubGoal if kind is CriticKind.SUBGOAL else ChooseCandidate
+    if not isinstance(action, expected):
+        raise ContractViolationError(
+            f"the {kind.value} critic scores {expected.__name__} actions, "
+            f"not {type(action).__name__}"
+        )
     backend = critics.get(kind)
     if backend is None:
         raise ConfigurationError(f"no critic configured for kind {kind.value!r}")
-    return backend.score(build_context(state, kind, candidate))
+    return backend.score(build_context(state, kind, action.observation))
 
 
 def pairwise_loss(score_chosen: float, score_rejected: float) -> float:
@@ -188,34 +185,6 @@ class ConstantCritic:
 
     def score(self, ctx: CriticContext) -> float:
         return self.value
-
-
-@dataclass(frozen=True)
-class LookupRule:
-    """Scores a candidate whose text contains `candidate_contains`, optionally
-    gated on the concatenated context containing `context_contains`."""
-
-    candidate_contains: str
-    score: float
-    context_contains: str | None = None
-
-
-@dataclass(frozen=True)
-class LookupCritic:
-    """First-match rule table; useful for golden fixtures."""
-
-    rules: tuple[LookupRule, ...]
-    default: float = 0.0
-
-    def score(self, ctx: CriticContext) -> float:
-        context_text = "\n".join(obs.text for obs in ctx.context_observations)
-        for rule in self.rules:
-            if rule.candidate_contains not in ctx.candidate.text:
-                continue
-            if rule.context_contains is not None and rule.context_contains not in context_text:
-                continue
-            return rule.score
-        return self.default
 
 
 @dataclass(frozen=True)

@@ -38,17 +38,15 @@ from .generation import GeneratorBackend, SamplingConfig
 from .mdp import (
     Action,
     AnswerDetector,
-    ChooseCandidate,
     DEFAULT_HORIZON,
     NEVER_DETECT,
     Observation,
     ProblemInstance,
     State,
+    action_space,
     apply,
     is_terminal,
     root_state,
-    subgoal_actions,
-    subgoal_observation,
     text_digest,
 )
 
@@ -90,21 +88,10 @@ class CheckerOracle:
 class TreeNode:
     """Search-tree node carrying cumulative reward `v` and visit count `n`."""
 
-    __slots__ = (
-        "state", "observation", "incoming_action", "parent", "children",
-        "v", "n", "sim_count", "reward", "pending", "dead",
-    )
+    __slots__ = ("state", "parent", "children", "v", "n", "sim_count", "reward", "pending", "dead")
 
-    def __init__(
-        self,
-        state: State,
-        observation: Observation | None = None,
-        incoming_action: Action | None = None,
-        parent: "TreeNode | None" = None,
-    ):
+    def __init__(self, state: State, parent: "TreeNode | None" = None):
         self.state = state
-        self.observation = observation
-        self.incoming_action = incoming_action
         self.parent = parent
         self.children: list[TreeNode] = []
         self.v = 0.0
@@ -112,10 +99,15 @@ class TreeNode:
         self.sim_count = 0
         # Simulated reward, computed on the first simulation and reused after.
         self.reward: float | None = None
-        # Unmaterialized child (action, observation) specs; None = not yet
-        # computed (sub-goal nodes sample candidates lazily, once).
-        self.pending: deque[tuple[Action, Observation]] | None = None
+        # Actions of the unmaterialized children; None = not yet computed
+        # (sub-goal nodes sample candidates lazily, once).
+        self.pending: deque[Action] | None = None
         self.dead = False
+
+    @property
+    def observation(self) -> Observation | None:
+        """What the incoming action yielded; None at the root."""
+        return self.state.last_observation
 
     @property
     def mean_value(self) -> float:
@@ -159,18 +151,6 @@ def select_path(root: TreeNode, c: float) -> list[TreeNode]:
     return path
 
 
-def _child_specs(
-    state: State,
-    generator: GeneratorBackend,
-    corpus: retrieval.Corpus | None,
-    sampling: SamplingConfig,
-) -> list[tuple[Action, Observation]]:
-    if state.pending_subgoal() is None:
-        return [(a, subgoal_observation(a)) for a in subgoal_actions(state)]
-    candidates = generation.candidates_for(state, generator, corpus, sampling)
-    return [(ChooseCandidate(i, obs), obs) for i, obs in enumerate(candidates)]
-
-
 def run_mcts(
     problem: ProblemInstance,
     generator: GeneratorBackend,
@@ -192,7 +172,7 @@ def run_mcts(
     aborted = 0
     for i in range(cfg.iterations):
         try:
-            _run_iteration(root, problem, generator, oracle, cfg, corpus, detector)
+            _run_iteration(root, generator, oracle, cfg, corpus, detector)
         except BackendError:
             aborted += 1
             continue
@@ -207,7 +187,6 @@ def run_mcts(
 
 def _run_iteration(
     root: TreeNode,
-    problem: ProblemInstance,
     generator: GeneratorBackend,
     oracle: RewardOracle,
     cfg: MctsConfig,
@@ -215,43 +194,36 @@ def _run_iteration(
     detector: AnswerDetector,
 ) -> None:
     node = select_path(root, cfg.exploration)[-1]
-    target = node
     if not node.dead and not is_terminal(node.state, detector):
         if node.pending is None:
             # With nothing to execute the node becomes a dead end that is
             # still simulated, so its emptiness is priced into the tree.
-            node.pending = deque(_child_specs(node.state, generator, corpus, cfg.sampling))
-        if node.pending:
-            action, obs = node.pending.popleft()
-            child = TreeNode(
-                state=apply(node.state, action, obs),
-                observation=obs,
-                incoming_action=action,
-                parent=node,
+            state = node.state
+            candidates = () if state.at_decision_point() else generation.candidates_for(
+                state, generator, corpus, cfg.sampling
             )
+            node.pending = deque(action_space(state, candidates))
+        if node.pending:
+            action = node.pending.popleft()
+            child = TreeNode(state=apply(node.state, action), parent=node)
             try:
-                reward_value = _simulate(child, problem, generator, oracle)
+                reward_value = _simulate(child, generator, oracle)
             except BackendError:
-                node.pending.appendleft((action, obs))
+                node.pending.appendleft(action)
                 raise
             node.children.append(child)
             _backpropagate(child, reward_value)
             return
         if not node.children:
             node.dead = True
-    reward_value = _simulate(target, problem, generator, oracle)
-    _backpropagate(target, reward_value)
+    reward_value = _simulate(node, generator, oracle)
+    _backpropagate(node, reward_value)
 
 
-def _simulate(
-    node: TreeNode,
-    problem: ProblemInstance,
-    generator: GeneratorBackend,
-    oracle: RewardOracle,
-) -> float:
+def _simulate(node: TreeNode, generator: GeneratorBackend, oracle: RewardOracle) -> float:
     if node.reward is None:
         answer = generation.conclude(node.state, generator)
-        node.reward = oracle.evaluate(problem, answer)
+        node.reward = oracle.evaluate(node.state.problem, answer)
     node.sim_count += 1
     return node.reward
 
@@ -267,9 +239,7 @@ def _backpropagate(node: TreeNode, reward_value: float) -> None:
 # ------------------------------------------------------------ pair extraction
 
 
-def extract_pairs(
-    root: TreeNode, problem: ProblemInstance
-) -> dict[CriticKind, list[PreferencePair]]:
+def extract_pairs(root: TreeNode) -> dict[CriticKind, list[PreferencePair]]:
     """Mine preference pairs from every sibling group with >= 2 visited children.
 
     Children are scored by mean value v/n (ties: higher n, then earlier
@@ -294,7 +264,7 @@ def extract_pairs(
             out[kind].append(
                 PreferencePair(
                     kind=kind,
-                    problem_id=problem.problem_id,
+                    problem_id=root.state.problem.problem_id,
                     context_observations=context.context_observations,
                     chosen=chosen.observation,
                     rejected=sibling.observation,

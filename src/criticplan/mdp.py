@@ -105,6 +105,12 @@ class Observation:
         return self.kind in SUBGOAL_KINDS
 
 
+# The one observation each sub-goal choice yields; values are immutable, so shared.
+_MARKER_OBSERVATIONS = {
+    goal: Observation(kind, text) for goal, (kind, text) in SUBGOAL_MARKERS.items()
+}
+
+
 class TaskKind(Enum):
     ANSWER_MATCH = "answer_match"
     RETRIEVAL_RANKING = "retrieval_ranking"
@@ -130,6 +136,11 @@ class ChooseSubGoal:
 
     target: SubGoal
 
+    @property
+    def observation(self) -> Observation:
+        """The rule-based transition: the sub-goal's canonical marker."""
+        return _MARKER_OBSERVATIONS[self.target]
+
 
 @dataclass(frozen=True)
 class ChooseCandidate:
@@ -137,6 +148,11 @@ class ChooseCandidate:
 
     index: int
     candidate: Observation
+
+    @property
+    def observation(self) -> Observation:
+        """Choosing a candidate yields that candidate."""
+        return self.candidate
 
 
 Action = Union[ChooseSubGoal, ChooseCandidate]
@@ -267,8 +283,8 @@ def action_space(state: State, candidates: Sequence[Observation] = ()) -> list[A
     if state.step_index >= state.horizon:
         raise TerminalStateError("no actions at terminal state")
     if state.at_decision_point():
-        return list(subgoal_actions(state))
-    return list(candidate_actions(state, candidates))
+        return subgoal_actions(state)
+    return candidate_actions(state, candidates)
 
 
 def subgoal_observation(action: ChooseSubGoal) -> Observation:
@@ -277,29 +293,19 @@ def subgoal_observation(action: ChooseSubGoal) -> Observation:
         raise ContractViolationError(
             "rule-based transition only applies to sub-goal actions"
         )
-    kind, text = SUBGOAL_MARKERS[action.target]
-    return Observation(kind=kind, text=text)
+    return action.observation
 
 
-def apply(state: State, action: Action, observation: Observation) -> State:
-    """Append (action, observation) and advance the step index.
+def apply(state: State, action: Action) -> State:
+    """Append (action, action.observation) and advance the step index.
 
     The input state is unmodified; a new value is returned. The new state's
     own checks reject a step past the horizon, a sub-goal away from a
     decision point and an observation of the wrong kind.
     """
-    if isinstance(action, ChooseSubGoal):
-        if observation != subgoal_observation(action):
-            raise ContractViolationError(
-                f"observation does not match the rule-based transition for "
-                f"{action.target.value}"
-            )
-    elif isinstance(action, ChooseCandidate):
-        if observation != action.candidate:
-            raise ContractViolationError("observation differs from the chosen candidate")
-    else:
+    if not isinstance(action, (ChooseSubGoal, ChooseCandidate)):
         raise ContractViolationError(f"unknown action type {type(action).__name__}")
-    return replace(state, trajectory=state.trajectory + ((action, observation),))
+    return replace(state, trajectory=state.trajectory + ((action, action.observation),))
 
 
 class AnswerDetector(Protocol):

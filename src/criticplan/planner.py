@@ -13,28 +13,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import generation, records, retrieval
 from .critics import CriticBackend, CriticKind, MemoizedCritic, critic_kind_for, reward
 from .errors import ContractViolationError, EmptyQueryError, PlanningFailureError
 from .generation import GeneratorBackend, SamplingConfig
 from .mdp import (
+    Action,
     AnswerDetector,
-    ChooseCandidate,
+    ChooseSubGoal,
     DEFAULT_HORIZON,
-    Observation,
     ObservationKind,
     ProblemInstance,
     SentinelAnswerDetector,
     State,
     SubGoal,
     TaskKind,
+    action_space,
     apply,
     is_terminal,
     root_state,
-    subgoal_actions,
-    subgoal_observation,
     text_digest,
 )
 
@@ -103,117 +102,82 @@ class _Loop:
     Build it with `_Loop.for_problem`, which memoizes the backends.
     """
 
-    problem: ProblemInstance
     critics: Mapping[CriticKind, CriticBackend]
     generator: GeneratorBackend
     corpus: retrieval.Corpus | None
     cfg: PlannerConfig
     decisions: list[DecisionRecord] = field(default_factory=list)
     best_query: tuple[float, str] | None = None
-    # Set by step(retrieve_is_final=True) when the critics commit to Retrieve;
-    # the ranking variant stops there and runs the final retrieval itself.
-    final_retrieve: State | None = None
 
     @classmethod
-    def for_problem(cls, problem, critics, generator, corpus, cfg) -> "_Loop":
-        return cls(problem=problem,
-                   critics={kind: MemoizedCritic(c) for kind, c in critics.items()},
+    def for_problem(cls, critics, generator, corpus, cfg) -> "_Loop":
+        return cls(critics={kind: MemoizedCritic(c) for kind, c in critics.items()},
                    generator=generation.MemoizedGenerator(generator),
                    corpus=corpus, cfg=cfg)
 
-    def pick_best(self, scored):
-        best_index = 0
-        for i in range(1, len(scored)):
-            if scored[i][1] > scored[best_index][1]:
-                best_index = i
-        return best_index
+    def decide(
+        self, state: State, actions: list[Action], masked: Iterable[SubGoal] = ()
+    ) -> tuple[Action, DecisionRecord]:
+        """Score `actions` at `state` and pick the first best.
 
-    def record_subgoal_decision(self, state, scored, best_index, masked) -> None:
-        self.decisions.append(
-            DecisionRecord(
-                step=state.step_index + 1,
-                kind="subgoal",
-                candidates=tuple(
-                    ScoredCandidate(
-                        index=i,
-                        digest=text_digest(subgoal_observation(a).text),
-                        score=s,
-                        chosen=(i == best_index),
-                        label=a.target.value,
-                    )
-                    for i, (a, s) in enumerate(scored)
-                ),
-                masked=tuple(sorted(m.value for m in masked)),
-            )
-        )
-
-    def choose_candidate(self, state: State, candidates: list[Observation]) -> State:
-        actions = [ChooseCandidate(i, obs) for i, obs in enumerate(candidates)]
-        scored = [(a, reward(state, a, self.critics)) for a in actions]
-        best_index = self.pick_best(scored)
+        Returns the pick and its `DecisionRecord`; `masked` names the sub-goals
+        left out of `actions` at this decision.
+        """
+        scores = [reward(state, a, self.critics) for a in actions]
+        best = max(range(len(actions)), key=scores.__getitem__)
         kind = critic_kind_for(state)
-        if kind is CriticKind.QUERY:
-            for action, score in scored:
-                if self.best_query is None or score > self.best_query[0]:
-                    self.best_query = (score, action.candidate.text)
-        self.decisions.append(
-            DecisionRecord(
-                step=state.step_index + 1,
-                kind=kind.value,
-                candidates=tuple(
-                    ScoredCandidate(
-                        index=i,
-                        digest=text_digest(a.candidate.text),
-                        score=s,
-                        chosen=(i == best_index),
-                        label=a.candidate.doc_id or "",
-                    )
-                    for i, (a, s) in enumerate(scored)
-                ),
-            )
+        if kind is CriticKind.QUERY and (self.best_query is None
+                                         or scores[best] > self.best_query[0]):
+            self.best_query = (scores[best], actions[best].observation.text)
+        record = DecisionRecord(
+            step=state.step_index + 1,
+            kind=kind.value,
+            candidates=tuple(
+                ScoredCandidate(
+                    index=i,
+                    digest=text_digest(a.observation.text),
+                    score=s,
+                    chosen=(i == best),
+                    label=(a.target.value if isinstance(a, ChooseSubGoal)
+                           else a.candidate.doc_id or ""),
+                )
+                for i, (a, s) in enumerate(zip(actions, scores))
+            ),
+            masked=tuple(sorted(m.value for m in masked)),
         )
-        action = scored[best_index][0]
-        return apply(state, action, action.candidate)
+        return actions[best], record
 
     def step(self, state: State, retrieve_is_final: bool = False) -> State:
         """Run one sub-goal + execution round and return the new state.
 
         Sub-goals whose candidate set comes back empty are masked at this
         decision and selection re-runs over the rest; all-masked is a planning
-        failure. Scoring the rest again sends no request, and neither does a
-        masked sub-goal's prompt asked again at a later decision: the loop's
-        critics and generator are memoized for the problem.
+        failure. Only the committed attempt is recorded, with its mask.
+        Scoring the rest again sends no request, and neither does a masked
+        sub-goal's prompt asked again at a later decision: the loop's critics
+        and generator are memoized for the problem.
         """
+        legal = action_space(state)
         masked: set[SubGoal] = set()
         while True:
-            scored = [
-                (a, reward(state, a, self.critics))
-                for a in subgoal_actions(state)
-                if a.target not in masked
-            ]
-            if not scored:
-                raise PlanningFailureError(
-                    f"every sub-goal masked at step {state.step_index}"
-                )
-            best_index = self.pick_best(scored)
-            action = scored[best_index][0]
-            marker = subgoal_observation(action)
-            after_marker = apply(state, action, marker)
-            if retrieve_is_final and action.target is SubGoal.RETRIEVING:
-                self.record_subgoal_decision(state, scored, best_index, masked)
-                self.final_retrieve = after_marker
-                return after_marker
-            if is_terminal(after_marker, self.cfg.answer_detector):
-                self.record_subgoal_decision(state, scored, best_index, masked)
+            actions = [a for a in legal if a.target not in masked]
+            if not actions:
+                raise PlanningFailureError(f"every sub-goal masked at step {state.step_index}")
+            action, record = self.decide(state, actions, masked)
+            after_marker = apply(state, action)
+            final = retrieve_is_final and action.target is SubGoal.RETRIEVING
+            if final or is_terminal(after_marker, self.cfg.answer_detector):
+                self.decisions.append(record)
                 return after_marker
             candidates = generation.candidates_for(
                 after_marker, self.generator, self.corpus, self.cfg.sampling
             )
-            if not candidates:
-                masked.add(action.target)
-                continue
-            self.record_subgoal_decision(state, scored, best_index, masked)
-            return self.choose_candidate(after_marker, candidates)
+            if candidates:
+                choice, choice_record = self.decide(
+                    after_marker, action_space(after_marker, candidates))
+                self.decisions += (record, choice_record)
+                return apply(after_marker, choice)
+            masked.add(action.target)
 
 
 def solve(
@@ -225,23 +189,17 @@ def solve(
 ) -> SolveResult:
     """Plan until an observation contains the answer or the horizon forces a
     conclusion."""
-    loop = _Loop.for_problem(problem, critics, generator, corpus, cfg)
+    loop = _Loop.for_problem(critics, generator, corpus, cfg)
     state = root_state(problem, horizon=cfg.horizon)
     while not is_terminal(state, cfg.answer_detector):
         state = loop.step(state)
     last = state.last_observation
-    if last is not None and cfg.answer_detector(last):
-        return SolveResult(
-            problem_id=problem.problem_id,
-            final_answer=last.text,
-            terminated_by=TerminationReason.ANSWER_DETECTED,
-            trajectory=state,
-            decisions=tuple(loop.decisions),
-        )
+    detected = last is not None and cfg.answer_detector(last)
     return SolveResult(
         problem_id=problem.problem_id,
-        final_answer=generation.conclude(state, loop.generator),
-        terminated_by=TerminationReason.HORIZON_FORCED,
+        final_answer=last.text if detected else generation.conclude(state, loop.generator),
+        terminated_by=(TerminationReason.ANSWER_DETECTED if detected
+                       else TerminationReason.HORIZON_FORCED),
         trajectory=state,
         decisions=tuple(loop.decisions),
     )
@@ -263,26 +221,24 @@ def solve_for_ranking(
     """
     if problem.task_kind is not TaskKind.RETRIEVAL_RANKING:
         raise ContractViolationError("solve_for_ranking requires a retrieval_ranking task")
-    loop = _Loop.for_problem(problem, critics, generator, corpus, cfg)
+    loop = _Loop.for_problem(critics, generator, corpus, cfg)
     state = root_state(problem, horizon=cfg.horizon)
     while not is_terminal(state, cfg.answer_detector):
         state = loop.step(state, retrieve_is_final=True)
-        if loop.final_retrieve is not None:
+        if state.pending_subgoal() is ObservationKind.RETRIEVE:
             query = state.latest(ObservationKind.QUERY).text
-            return _ranking_result(loop, problem, state, query, fallback=False)
+            return _ranking_result(loop, state, query, fallback=False)
     query = loop.best_query[1] if loop.best_query is not None else problem.statement
-    return _ranking_result(loop, problem, state, query, fallback=True)
+    return _ranking_result(loop, state, query, fallback=True)
 
 
-def _ranking_result(
-    loop: _Loop, problem: ProblemInstance, state: State, query: str, fallback: bool
-) -> RankingResult:
+def _ranking_result(loop: _Loop, state: State, query: str, fallback: bool) -> RankingResult:
     try:
         hits = retrieval.retrieve_scored(loop.corpus, query, loop.cfg.final_retrieval_k)
     except EmptyQueryError:
         hits = []
     return RankingResult(
-        problem_id=problem.problem_id,
+        problem_id=state.problem.problem_id,
         doc_ids=tuple(obs.doc_id for obs, _ in hits),
         query_used=query,
         fallback=fallback,

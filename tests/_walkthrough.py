@@ -8,10 +8,41 @@ are frozen here for the golden test.
 
 from __future__ import annotations
 
-from criticplan.critics import ConstantCritic, CriticKind, LookupCritic, LookupRule
+from dataclasses import dataclass
+
+from criticplan.critics import ConstantCritic, CriticContext, CriticKind
 from criticplan.generation import ScriptedBackend, ScriptedRule
 from criticplan.mdp import ProblemInstance
 from criticplan.retrieval import build_index
+
+
+@dataclass(frozen=True)
+class LookupRule:
+    """Scores a candidate whose text contains `candidate_contains`, optionally
+    gated on the concatenated context containing `context_contains`."""
+
+    candidate_contains: str
+    score: float
+    context_contains: str | None = None
+
+
+@dataclass(frozen=True)
+class LookupCritic:
+    """First-match rule table: the golden fixture's critic."""
+
+    rules: tuple[LookupRule, ...]
+    default: float = 0.0
+
+    def score(self, ctx: CriticContext) -> float:
+        context_text = "\n".join(obs.text for obs in ctx.context_observations)
+        for rule in self.rules:
+            if rule.candidate_contains not in ctx.candidate.text:
+                continue
+            if rule.context_contains is not None and rule.context_contains not in context_text:
+                continue
+            return rule.score
+        return self.default
+
 
 PROBLEM = ProblemInstance(
     problem_id="longest-substring",

@@ -16,7 +16,6 @@ from criticplan.mdp import (
     SubGoal,
     apply,
     root_state,
-    subgoal_observation,
 )
 
 
@@ -45,13 +44,11 @@ def problem() -> ProblemInstance:
 
 
 def advance_subgoal(state, target: SubGoal):
-    action = ChooseSubGoal(target)
-    return apply(state, action, subgoal_observation(action))
+    return apply(state, ChooseSubGoal(target))
 
 
 def advance_candidate(state, observation: Observation, index: int = 0):
-    action = ChooseCandidate(index, observation)
-    return apply(state, action, observation)
+    return apply(state, ChooseCandidate(index, observation))
 
 
 def rationale(text: str) -> Observation:

@@ -166,7 +166,7 @@ def _collect_reasoning_pairs(toy, iterations=64):
             horizon=toy.horizon,
         )
         root = run_mcts(problem, toy.backend, CheckerOracle(), cfg)
-        per_problem[problem.problem_id] = extract_pairs(root, problem)
+        per_problem[problem.problem_id] = extract_pairs(root)
     return per_problem
 
 

@@ -696,6 +696,25 @@ class TestBatchFailures:
         results.write_text("".join(lines[:2] + lines[3:]), encoding="utf-8")
         assert "accuracy: 0.500000" in run_cli(runner, config, "eval").output
 
+    @pytest.mark.parametrize("record", [
+        # An answer problem's ranking record used to leave the accuracy
+        # denominator: p2 alone scored accuracy 1.0 where 0.5 was right.
+        {"problem_id": "p1", "task": "retrieval_ranking", "doc_ids": ["d1"]},
+        {"problem_id": "r1", "task": "answer_match", "final_answer": "x"},
+    ])
+    def test_eval_rejects_a_record_of_the_wrong_task(self, runner, tmp_path, record):
+        config = _eval_workspace(tmp_path, [
+            {"problem_id": "p2", "task": "answer_match", "final_answer": "y"},
+            record,
+        ])
+        result = runner.invoke(main, ["--config", str(config), "eval"])
+        assert isinstance(result.exception, ConfigurationError)
+        results = tmp_path / "out" / "results.jsonl"
+        kind = "answer_match" if record["task"] == "retrieval_ranking" else "retrieval_ranking"
+        assert str(result.exception) == (f"{results}:3: problem {record['problem_id']!r} has "
+                                         f"task_kind {kind!r}, not {record['task']!r}")
+        assert not (tmp_path / "out" / "report.txt").exists()
+
     def test_eval_scores_a_problem_without_a_record_failed(self, runner, tmp_path):
         # One correct record of a three-answer-problem set used to score 1.0.
         config = _eval_workspace(tmp_path, [

@@ -21,8 +21,6 @@ from criticplan.critics import (
     FeaturizerSpec,
     HashedTextFeaturizer,
     LinearCritic,
-    LookupCritic,
-    LookupRule,
     PreferencePair,
     build_context,
     critic_kind_for,
@@ -111,6 +109,10 @@ class TestRewardDispatch:
         state = advance_subgoal(root_state(problem), SubGoal.REASONING)
         with pytest.raises(ContractViolationError):
             reward(state, ChooseSubGoal(SubGoal.REASONING), ALL_CONSTANT)
+
+    def test_candidate_at_a_decision_point_rejected(self, problem):
+        with pytest.raises(ContractViolationError, match="subgoal critic scores ChooseSubGoal"):
+            reward(root_state(problem), ChooseCandidate(0, rationale("r")), ALL_CONSTANT)
 
 
 def test_critic_kind_for_each_pending_subgoal(problem, state_after_rationale, state_after_query):
@@ -544,38 +546,6 @@ class TestArgmaxInvariance:
             return min(i for i, s in enumerate(scores) if s == top)
 
         assert best(TextLengthCritic(1.0, 0.0)) == best(TextLengthCritic(31.7, -4.0))
-
-
-class TestLookupCritic:
-    def test_context_gated_rules(self):
-        critic = LookupCritic(
-            rules=(
-                LookupRule(candidate_contains="go", context_contains="late", score=1.0),
-                LookupRule(candidate_contains="go", score=0.25),
-            )
-        )
-        late_ctx = CriticContext(
-            kind=CriticKind.SUBGOAL,
-            problem_statement="",
-            context_observations=(rationale("it is late now"),),
-            candidate=rationale("go"),
-        )
-        early_ctx = CriticContext(
-            kind=CriticKind.SUBGOAL,
-            problem_statement="",
-            context_observations=(rationale("it is early"),),
-            candidate=rationale("go"),
-        )
-        assert critic.score(late_ctx) == 1.0
-        assert critic.score(early_ctx) == 0.25
-        assert critic.score(
-            CriticContext(
-                kind=CriticKind.SUBGOAL,
-                problem_statement="",
-                context_observations=(),
-                candidate=rationale("stop"),
-            )
-        ) == 0.0
 
 
 class TestPairFiles:

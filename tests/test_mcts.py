@@ -171,7 +171,7 @@ class TestRunMcts:
         root = run_mcts(problem, constant_backend(), ConstantOracle(0.0), toy_config(iterations=12))
         genquery = [
             c for c in root.children
-            if c.incoming_action == ChooseSubGoal(SubGoal.QUERYING)
+            if c.observation == ChooseSubGoal(SubGoal.QUERYING).observation
         ]
         assert len(genquery) == 1
         assert genquery[0].dead
@@ -184,7 +184,7 @@ class TestRunMcts:
         root = run_mcts(problem, toy.backend, CheckerOracle(), cfg)
         reason_node = next(
             c for c in root.children
-            if c.incoming_action == ChooseSubGoal(SubGoal.REASONING)
+            if c.observation == ChooseSubGoal(SubGoal.REASONING).observation
         )
         by_text = {c.observation.text: c for c in reason_node.children}
         correct = toy.correct[(problem.problem_id, 1)]
@@ -274,7 +274,7 @@ class TestSampleMemo:
         assert sorted(backend.prompts.values())[-1] == 2
         assert sum(backend.prompts.values()) == len(backend.prompts) + 1
         reason = next(c for c in root.children
-                      if c.incoming_action == ChooseSubGoal(SubGoal.REASONING))
+                      if c.observation == ChooseSubGoal(SubGoal.REASONING).observation)
         assert reason.children and root.n == 7
 
 
@@ -291,7 +291,6 @@ class TestSelectionEquivalence:
                 return
             for i in range(rng.randint(2, branching)):
                 child = TreeNode(state=base, parent=node)
-                child.observation = rationale(f"c{level}-{i}")
                 child.n = rng.randint(1, 50)
                 child.v = rng.uniform(0, child.n)
                 node.children.append(child)
@@ -377,12 +376,7 @@ def frozen_sibling_group(problem, stats):
     parent.pending = deque()
     for i, (v, n) in enumerate(stats):
         obs = rationale(f"candidate {i}")
-        child = TreeNode(
-            state=apply(state, ChooseCandidate(i, obs), obs),
-            observation=obs,
-            incoming_action=ChooseCandidate(i, obs),
-            parent=parent,
-        )
+        child = TreeNode(state=apply(state, ChooseCandidate(i, obs)), parent=parent)
         child.v, child.n = v, n
         child.sim_count = n
         parent.children.append(child)
@@ -393,7 +387,7 @@ def frozen_sibling_group(problem, stats):
 class TestExtractPairs:
     def test_two_pairs_from_three_children(self, problem):
         parent = frozen_sibling_group(problem, [(8, 10), (3, 10), (3, 10)])
-        pairs = extract_pairs(parent, problem)[CriticKind.RATIONALE]
+        pairs = extract_pairs(parent)[CriticKind.RATIONALE]
         assert len(pairs) == 2
         assert all(p.chosen.text == "candidate 0" for p in pairs)
         assert {p.rejected.text for p in pairs} == {"candidate 1", "candidate 2"}
@@ -401,19 +395,19 @@ class TestExtractPairs:
 
     def test_equal_means_give_no_pairs(self, problem):
         parent = frozen_sibling_group(problem, [(5, 10), (5, 10), (5, 10)])
-        pairs = extract_pairs(parent, problem)
+        pairs = extract_pairs(parent)
         assert all(not v for v in pairs.values())
 
     def test_tie_break_prefers_higher_visits(self, problem):
         parent = frozen_sibling_group(problem, [(4, 8), (10, 20), (1, 10)])
-        pairs = extract_pairs(parent, problem)[CriticKind.RATIONALE]
+        pairs = extract_pairs(parent)[CriticKind.RATIONALE]
         # means 0.5, 0.5, 0.1: chosen is the 0.5 with more visits
         assert all(p.chosen.text == "candidate 1" for p in pairs)
         assert len(pairs) == 1
 
     def test_single_visited_child_contributes_nothing(self, problem):
         parent = frozen_sibling_group(problem, [(1, 2), (0, 0)])
-        pairs = extract_pairs(parent, problem)
+        pairs = extract_pairs(parent)
         assert all(not v for v in pairs.values())
 
     def test_toy_run_routes_kinds(self):
@@ -421,7 +415,7 @@ class TestExtractPairs:
         problem = toy.problems[0]
         cfg = MctsConfig(iterations=64, sampling=SamplingConfig(k=2), horizon=toy.horizon)
         root = run_mcts(problem, toy.backend, CheckerOracle(), cfg)
-        pairs = extract_pairs(root, problem)
+        pairs = extract_pairs(root)
         assert pairs[CriticKind.RATIONALE]
         assert pairs[CriticKind.SUBGOAL]
         assert not pairs[CriticKind.QUERY]
@@ -439,7 +433,7 @@ class TestReproducibility:
             all_pairs = []
             for problem in toy.problems:
                 root = run_mcts(problem, toy.backend, CheckerOracle(), cfg)
-                pairs = extract_pairs(root, problem)
+                pairs = extract_pairs(root)
                 all_pairs.extend(p for group in pairs.values() for p in group)
             assert {p.problem_id for p in all_pairs} == {p.problem_id for p in toy.problems}
             export_pairs(all_pairs, directory)

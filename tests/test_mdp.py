@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from criticplan import mdp
 from criticplan.errors import (
     ContractViolationError,
     HorizonExceededError,
@@ -181,10 +184,16 @@ class TestApply:
         with pytest.raises(ContractViolationError):
             advance_subgoal(state, SubGoal.REASONING)
 
-    def test_observation_must_match_candidate(self, problem):
-        state = advance_subgoal(root_state(problem), SubGoal.REASONING)
-        with pytest.raises(ContractViolationError):
-            apply(state, ChooseCandidate(0, rationale("a")), rationale("b"))
+    def test_action_yields_its_observation(self, problem):
+        marker = ChooseSubGoal(SubGoal.REASONING)
+        state = apply(root_state(problem), marker)
+        assert state.trajectory == ((marker, subgoal_observation(marker)),)
+        pick = ChooseCandidate(1, rationale("b"))
+        assert apply(state, pick).trajectory[-1] == (pick, rationale("b"))
+
+    def test_unknown_action_type_rejected(self, problem):
+        with pytest.raises(ContractViolationError, match="unknown action type str"):
+            apply(root_state(problem), "reasoning")
 
 
 class TestIsTerminal:
@@ -252,7 +261,7 @@ class TestProperties:
             if state.at_decision_point():
                 actions = subgoal_actions(state)
                 action = actions[choice % len(actions)]
-                state = apply(state, action, subgoal_observation(action))
+                state = apply(state, action)
             else:
                 pending = state.pending_subgoal()
                 if pending is ObservationKind.REASON:
@@ -261,8 +270,7 @@ class TestProperties:
                     candidates = [query(f"q{i}") for i in range(3)]
                 else:
                     candidates = [doc(f"d{i}", f"id{i}") for i in range(3)]
-                action = ChooseCandidate(choice % 3, candidates[choice % 3])
-                state = apply(state, action, action.candidate)
+                state = apply(state, ChooseCandidate(choice % 3, candidates[choice % 3]))
         # State construction re-validates alternation; reaching here means every
         # intermediate state was legal.
         kinds = [obs.kind for obs in state.observations]
@@ -301,11 +309,7 @@ class TestProperties:
                 else:
                     candidates = [kind_builders[pending](f"c{i}") for i in range(2)]
                 actions = action_space(state, candidates)
-            action = actions[choice % len(actions)]
-            if isinstance(action, ChooseSubGoal):
-                state = apply(state, action, subgoal_observation(action))
-            else:
-                state = apply(state, action, action.candidate)
+            state = apply(state, actions[choice % len(actions)])
             assert state.step_index <= state.horizon
 
 
@@ -325,3 +329,30 @@ class TestTrajectoryLog:
         assert first == second
         parsed = [json.loads(line) for line in first.strip().splitlines()]
         assert parsed[0]["step"] == 1
+
+
+def _action_constructions(source: str):
+    """(line, name) of every call in `source` that constructs an action."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in ("ChooseSubGoal", "ChooseCandidate"):
+                yield node.lineno, name
+
+
+@pytest.mark.parametrize("source, constructs", [
+    ("ChooseSubGoal(SubGoal.REASONING)", True), ("mdp.ChooseCandidate(0, obs)", True),
+    ("isinstance(action, ChooseSubGoal)", False), ("action_space(state, candidates)", False),
+])
+def test_action_construction_detector(source, constructs):
+    assert bool(list(_action_constructions(source))) is constructs
+
+
+def test_only_mdp_constructs_actions():
+    """Every action comes from `action_space`; no other module builds one."""
+    package = Path(mdp.__file__).parent
+    calls = [f"{path.name}:{line}: {name}" for path in sorted(package.glob("*.py"))
+             if path.name != "mdp.py"
+             for line, name in _action_constructions(path.read_text(encoding="utf-8"))]
+    assert calls == []

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from criticplan.critics import ConstantCritic, CriticKind
+from criticplan.critics import ConstantCritic, CriticContext, CriticKind
 from criticplan.errors import (
     ConfigurationError,
     ContractViolationError,
@@ -25,8 +25,9 @@ from criticplan.planner import (
 )
 from criticplan.retrieval import build_index, retrieve
 from tests import _walkthrough
+from tests._walkthrough import LookupCritic, LookupRule
 from tests._toys import lookup_toy, ranking_toy
-from tests.conftest import SampleCountingBackend
+from tests.conftest import SampleCountingBackend, rationale
 
 ALL_CONSTANT = {kind: ConstantCritic(0.0) for kind in CriticKind}
 
@@ -175,6 +176,10 @@ class TestSolveBasics:
         result = solve(problem, critics, backend, cfg)
         assert result.trajectory.observations[0].kind is ObservationKind.REASON
         assert result.decisions[0].masked == ("querying",)
+        # The masked attempt leaves no record; the committed one lists the rest.
+        [step1] = [d for d in result.decisions if d.step == 1]
+        assert step1.kind == "subgoal"
+        assert [c.label for c in step1.candidates] == ["reasoning"]
 
     def test_each_subgoal_scored_once_per_decision(self, problem):
         # Querying scores highest but is masked at the root; re-selection
@@ -340,6 +345,71 @@ class TestSolveForRanking:
         assert result.query_used == self._ranking_problem().statement
         assert result.doc_ids == ("doc00",)
 
+    @pytest.mark.parametrize("gamma, expected", [(0.7, "beta"), (0.9, "gamma")])
+    def test_fallback_uses_best_scored_query_of_all_decisions(self, gamma, expected):
+        # The sub-goal critic never picks Retrieve: reason after a query or at
+        # the root, genquery after a rationale. The two query decisions offer
+        # alpha/beta and gamma/delta; the best score over both wins, and of
+        # equal scores the first one seen.
+        class Alternate:
+            def score(self, ctx):
+                last = ctx.context_observations[-1].kind if ctx.context_observations else None
+                prefer = "genquery" if last is ObservationKind.RATIONALE else "reason"
+                return 1.0 if ctx.candidate.kind.value == prefer else 0.0
+
+        class QueryScores:
+            def score(self, ctx):
+                return {"alpha": 0.2, "beta": 0.7, "gamma": gamma, "delta": 0.5}[
+                    ctx.candidate.text]
+
+        critics = {**ALL_CONSTANT, CriticKind.SUBGOAL: Alternate(),
+                   CriticKind.QUERY: QueryScores()}
+        ask = "I need to generate a query"
+        backend = ScriptedBackend(
+            sample_rules=[
+                ScriptedRule(match=(ask, "lead one"), candidates=("alpha", "beta")),
+                ScriptedRule(match=(ask, "lead two"), candidates=("gamma", "delta")),
+                ScriptedRule(match=("lead one",), candidates=("lead two",)),
+                ScriptedRule(match=(), candidates=("lead one",)),
+            ],
+            default_conclusion="n/a",
+        )
+        corpus = build_index([("d-beta", "about beta"), ("d-gamma", "about gamma")])
+        cfg = PlannerConfig(horizon=8, sampling=SamplingConfig(k=2), answer_detector=NEVER)
+        result = solve_for_ranking(self._ranking_problem(), critics, backend, cfg, corpus)
+        queries = [o.text for o in result.trajectory.observations
+                   if o.kind is ObservationKind.QUERY]
+        assert queries == ["beta", "gamma"]
+        assert [d.kind for d in result.decisions].count("query") == 2
+        assert result.fallback
+        assert result.query_used == expected
+        assert result.doc_ids == (f"d-{expected}",)
+
+    def test_retrieve_at_the_last_step_of_the_horizon_is_final(self):
+        class RetrievePreference:
+            def score(self, ctx):
+                return {"retrieve": 1.0, "genquery": 0.8, "reason": 0.5}.get(
+                    ctx.candidate.kind.value, 0.5
+                )
+
+        critics = {**ALL_CONSTANT, CriticKind.SUBGOAL: RetrievePreference()}
+        backend = ScriptedBackend(
+            sample_rules=[
+                ScriptedRule(match=("I need to generate a query",), candidates=("shared term",)),
+                ScriptedRule(match=(), candidates=("think about shared stuff",)),
+            ],
+            default_conclusion="n/a",
+        )
+        corpus = build_index([("doc00", "shared term")])
+        # reason, rationale, genquery, query, then the Retrieve marker at step 5.
+        cfg = PlannerConfig(horizon=5, sampling=SamplingConfig(k=1), answer_detector=NEVER)
+        result = solve_for_ranking(self._ranking_problem(), critics, backend, cfg, corpus)
+        assert result.trajectory.step_index == cfg.horizon
+        assert result.trajectory.last_observation.kind is ObservationKind.RETRIEVE
+        assert not result.fallback
+        assert result.query_used == "shared term"
+        assert result.doc_ids == ("doc00",)
+
     def test_trained_critics_rank_gold_first_and_direct_bm25_misses_it(self):
         toy = ranking_toy()
         corpus = build_index(toy.corpus_documents)
@@ -352,3 +422,35 @@ class TestSolveForRanking:
         direct = retrieve(corpus, toy.problem.statement, 10)
         assert toy.gold_doc_id not in [obs.doc_id for obs in direct]
         assert direct
+
+
+class TestLookupCritic:
+    def test_context_gated_rules(self):
+        critic = LookupCritic(
+            rules=(
+                LookupRule(candidate_contains="go", context_contains="late", score=1.0),
+                LookupRule(candidate_contains="go", score=0.25),
+            )
+        )
+        late_ctx = CriticContext(
+            kind=CriticKind.SUBGOAL,
+            problem_statement="",
+            context_observations=(rationale("it is late now"),),
+            candidate=rationale("go"),
+        )
+        early_ctx = CriticContext(
+            kind=CriticKind.SUBGOAL,
+            problem_statement="",
+            context_observations=(rationale("it is early"),),
+            candidate=rationale("go"),
+        )
+        assert critic.score(late_ctx) == 1.0
+        assert critic.score(early_ctx) == 0.25
+        assert critic.score(
+            CriticContext(
+                kind=CriticKind.SUBGOAL,
+                problem_statement="",
+                context_observations=(),
+                candidate=rationale("stop"),
+            )
+        ) == 0.0
