@@ -22,7 +22,7 @@ from . import evaluation, generation, mcts, planner, records, retrieval
 from .config import EngineConfig, load_engine_config
 from .critics import CriticKind, LinearCritic, import_pairs, pairs_filename
 from .errors import ConfigurationError, CriticPlanError, IngestionError
-from .mdp import ProblemInstance, TaskKind, format_trajectory_log
+from .mdp import ProblemInstance, SubGoal, TaskKind, format_trajectory_log
 
 
 def _echo_config(config: EngineConfig) -> None:
@@ -282,20 +282,31 @@ def solve(ctx: click.Context, problems_path: str | None, critics_mode: str | Non
     _echo_config(config)
     problems = load_problems(problems_path or config.path("problems_file"))
     generator = _generator_from_config(config)
-    critic_backends = _critics_from_config(config, critics_mode)
+    critic_type = critics_mode or config.critics.get("type", "trained")
+    critic_backends = _critics_from_config(config, critic_type)
     corpus = _load_corpus(config)
     cfg = config.planner_config()
     if corpus is None and any(p.task_kind is TaskKind.RETRIEVAL_RANKING for p in problems):
         raise ConfigurationError(
             "ranking tasks need paths.index_path (produce it with `criticplan index`)"
         )
+    # A decision's remote critic requests go out together, on threads for every worker's
+    # widest decision; in-process critics are CPU work under the interpreter lock.
+    pool = (ThreadPoolExecutor(ctx.obj["parallel"] * max(len(SubGoal), cfg.sampling.k))
+            if critic_type == "http" else None)
 
     def run_one(problem: ProblemInstance):
         if problem.task_kind is TaskKind.RETRIEVAL_RANKING:
-            return planner.solve_for_ranking(problem, critic_backends, generator, cfg, corpus)
-        return planner.solve(problem, critic_backends, generator, cfg, corpus=corpus)
+            return planner.solve_for_ranking(problem, critic_backends, generator, cfg, corpus,
+                                             executor=pool)
+        return planner.solve(problem, critic_backends, generator, cfg, corpus=corpus,
+                             executor=pool)
 
-    batch = _run_batch(ctx, problems, run_one)
+    try:
+        batch = _run_batch(ctx, problems, run_one)
+    finally:
+        if pool is not None:
+            pool.shutdown()
     solved = [result for _, result in batch if not isinstance(result, CriticPlanError)]
     output_dir = config.path("output_dir")
     for name, format_name, body in (

@@ -12,6 +12,7 @@ import hashlib
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Protocol, Sequence, Union
 
 from . import records
@@ -199,8 +200,9 @@ class State:
     def step_index(self) -> int:
         return len(self.trajectory)
 
-    @property
+    @cached_property
     def observations(self) -> tuple[Observation, ...]:
+        """Computed once per state; kept in the instance `__dict__`, outside eq and hash."""
         return tuple(obs for _, obs in self.trajectory)
 
     @property
@@ -238,7 +240,7 @@ def has_live_query(state: State) -> bool:
     Retrieval consumes one query; without a live one the retriever has no
     input, so the `retrieving` sub-goal is masked.
     """
-    for obs in reversed(state.observations):
+    for _, obs in reversed(state.trajectory):
         if obs.kind is ObservationKind.QUERY:
             return True
         if obs.kind is ObservationKind.DOC:

@@ -7,13 +7,20 @@ is masked at that decision and the selection re-runs; a decision with every
 sub-goal masked is a planning failure. Every candidate, score, and choice is
 recorded. Each solve memoizes its generator `sample` and critic `score`
 requests, so a request repeated within one problem reaches its backend once.
+
+A decision scores its actions through the loop's `map`: the builtin, or an
+executor's `map`, which sends the decision's critic requests together. Scores
+are placed by action index and the actions are distinct, so picks, records and
+requests are the same either way. If one request fails, the problem fails, and
+the decision's other requests, already in flight, finish.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import generation, records, retrieval
 from .critics import CriticBackend, CriticKind, MemoizedCritic, critic_kind_for, reward
@@ -106,32 +113,31 @@ class _Loop:
     generator: GeneratorBackend
     corpus: retrieval.Corpus | None
     cfg: PlannerConfig
+    map: Callable = map
     decisions: list[DecisionRecord] = field(default_factory=list)
     best_query: tuple[float, str] | None = None
 
     @classmethod
-    def for_problem(cls, critics, generator, corpus, cfg) -> "_Loop":
+    def for_problem(cls, critics, generator, corpus, cfg, executor: Executor | None) -> "_Loop":
         return cls(critics={kind: MemoizedCritic(c) for kind, c in critics.items()},
                    generator=generation.MemoizedGenerator(generator),
-                   corpus=corpus, cfg=cfg)
+                   corpus=corpus, cfg=cfg, map=executor.map if executor else map)
 
-    def decide(
-        self, state: State, actions: list[Action], masked: Iterable[SubGoal] = ()
-    ) -> tuple[Action, DecisionRecord]:
-        """Score `actions` at `state` and pick the first best.
-
-        Returns the pick and its `DecisionRecord`; `masked` names the sub-goals
-        left out of `actions` at this decision.
-        """
-        scores = [reward(state, a, self.critics) for a in actions]
+    def decide(self, state: State, actions: list[Action]) -> tuple[int, list[float]]:
+        """Score `actions` at `state`; the index of the first best, and the scores."""
+        scores = list(self.map(lambda a: reward(state, a, self.critics), actions))
         best = max(range(len(actions)), key=scores.__getitem__)
-        kind = critic_kind_for(state)
-        if kind is CriticKind.QUERY and (self.best_query is None
-                                         or scores[best] > self.best_query[0]):
+        if critic_kind_for(state) is CriticKind.QUERY and (
+                self.best_query is None or scores[best] > self.best_query[0]):
             self.best_query = (scores[best], actions[best].observation.text)
-        record = DecisionRecord(
+        return best, scores
+
+    def record(self, state: State, actions: list[Action], best: int, scores: list[float],
+               masked: Iterable[SubGoal] = ()) -> None:
+        """Log the decision at `state`; `masked` names the sub-goals left out of `actions`."""
+        self.decisions.append(DecisionRecord(
             step=state.step_index + 1,
-            kind=kind.value,
+            kind=critic_kind_for(state).value,
             candidates=tuple(
                 ScoredCandidate(
                     index=i,
@@ -144,8 +150,7 @@ class _Loop:
                 for i, (a, s) in enumerate(zip(actions, scores))
             ),
             masked=tuple(sorted(m.value for m in masked)),
-        )
-        return actions[best], record
+        ))
 
     def step(self, state: State, retrieve_is_final: bool = False) -> State:
         """Run one sub-goal + execution round and return the new state.
@@ -163,20 +168,22 @@ class _Loop:
             actions = [a for a in legal if a.target not in masked]
             if not actions:
                 raise PlanningFailureError(f"every sub-goal masked at step {state.step_index}")
-            action, record = self.decide(state, actions, masked)
+            best, scores = self.decide(state, actions)
+            action = actions[best]
             after_marker = apply(state, action)
             final = retrieve_is_final and action.target is SubGoal.RETRIEVING
             if final or is_terminal(after_marker, self.cfg.answer_detector):
-                self.decisions.append(record)
+                self.record(state, actions, best, scores, masked)
                 return after_marker
             candidates = generation.candidates_for(
                 after_marker, self.generator, self.corpus, self.cfg.sampling
             )
             if candidates:
-                choice, choice_record = self.decide(
-                    after_marker, action_space(after_marker, candidates))
-                self.decisions += (record, choice_record)
-                return apply(after_marker, choice)
+                self.record(state, actions, best, scores, masked)
+                choices = action_space(after_marker, candidates)
+                choice, choice_scores = self.decide(after_marker, choices)
+                self.record(after_marker, choices, choice, choice_scores)
+                return apply(after_marker, choices[choice])
             masked.add(action.target)
 
 
@@ -186,10 +193,13 @@ def solve(
     generator: GeneratorBackend,
     cfg: PlannerConfig,
     corpus: retrieval.Corpus | None = None,
+    executor: Executor | None = None,
 ) -> SolveResult:
     """Plan until an observation contains the answer or the horizon forces a
-    conclusion."""
-    loop = _Loop.for_problem(critics, generator, corpus, cfg)
+    conclusion. With an `executor`, each decision's critic requests are sent
+    together through `executor.map`; the result is the same as without one.
+    """
+    loop = _Loop.for_problem(critics, generator, corpus, cfg, executor)
     state = root_state(problem, horizon=cfg.horizon)
     while not is_terminal(state, cfg.answer_detector):
         state = loop.step(state)
@@ -211,17 +221,18 @@ def solve_for_ranking(
     generator: GeneratorBackend,
     cfg: PlannerConfig,
     corpus: retrieval.Corpus,
+    executor: Executor | None = None,
 ) -> RankingResult:
     """Plan until the critics select a retrieval, then rank with the chosen query.
 
     The first critic-selected Retrieve is the final one: its query is run with
     `final_retrieval_k` results. If no Retrieve is selected within the horizon
     the best-scored generated query (or the problem statement) is used and the
-    result is flagged as a fallback.
+    result is flagged as a fallback. `executor` is as in `solve`.
     """
     if problem.task_kind is not TaskKind.RETRIEVAL_RANKING:
         raise ContractViolationError("solve_for_ranking requires a retrieval_ranking task")
-    loop = _Loop.for_problem(critics, generator, corpus, cfg)
+    loop = _Loop.for_problem(critics, generator, corpus, cfg, executor)
     state = root_state(problem, horizon=cfg.horizon)
     while not is_terminal(state, cfg.answer_detector):
         state = loop.step(state, retrieve_is_final=True)

@@ -58,19 +58,22 @@ def test_candidate_sampling_is_traced(problem):
 
 
 def test_traced_benchmark_pass_reports_every_layer():
-    # One untraced and one traced lookup-deep pass through the real harness,
-    # which wraps package functions by name. No timing is gated.
-    run = subprocess.run(
-        [sys.executable, "benchmarks/run.py", "--workload", "lookup-deep", "--seed", "3",
-         "--seconds", "0", "--trace", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
-    )
-    assert run.returncode == 0, run.stderr
-    result = json.loads(run.stdout.splitlines()[-1])
-    assert result["correct"] is True
-    assert result["failed"] == 0
+    # One untraced and one traced pass per workload through the real harness,
+    # which wraps package functions by name. remote-latency solves with HTTP
+    # critics, so its critic spans run on the decision pool's threads. No
+    # timing is gated.
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
-    assert {metric["name"] for metric in declared} <= set(result["metrics"])
+    for workload in ("lookup-deep", "remote-latency"):
+        run = subprocess.run(
+            [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", "3",
+             "--seconds", "0", "--trace", "1"],
+            cwd=ROOT, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, (workload, run.stderr)
+        result = json.loads(run.stdout.splitlines()[-1])
+        assert result["correct"] is True, workload
+        assert result["failed"] == 0, workload
+        assert {metric["name"] for metric in declared} <= set(result["metrics"]), workload
 
 
 _MAKE_GENERATOR, _MAKE_CRITICS = cli._generator_from_config, cli._critics_from_config

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import contextlib
 import inspect
 import json
 import os
 import sys
+import threading
 import zlib
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
+from socketserver import ThreadingMixIn
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from criticplan import cli, records
 from criticplan.cli import load_problems, main
 from criticplan.config import load_engine_config
 from criticplan.critics import (
+    CriticContext,
     CriticKind,
     FeaturizerSpec,
     HashedTextFeaturizer,
@@ -32,6 +37,7 @@ from criticplan.errors import (
 from criticplan.evaluation import ExternalCommandChecker
 from criticplan.generation import HttpGeneratorBackend, SamplingConfig
 from criticplan.mcts import MctsConfig
+from criticplan.mdp import Observation, ObservationKind
 from criticplan.planner import PlannerConfig
 from criticplan.retrieval import Bm25Params
 from tests._toys import (
@@ -738,3 +744,130 @@ class TestBatchFailures:
         result = runner.invoke(main, ["--config", str(config), "eval"])
         assert result.exit_code != 0
         assert "results file contains no result records" in result.output
+
+
+class _JoinedThreadingServer(ThreadingMixIn, HTTPServer):
+    # Handler threads are joined by server_close, so none outlives the server.
+    daemon_threads = False
+
+
+@contextlib.contextmanager
+def serve_linear_critics(critics_dir: Path, failing_problem: str | None = None):
+    """Loopback critic endpoint scoring with the `LinearCritic` files in `critics_dir`.
+
+    Requests for `failing_problem` get a 500. Yields (url, request counter).
+    """
+    critics = {c.kind.value: c for c in map(LinearCritic.load,
+                                             sorted(critics_dir.glob("critic_*.json")))}
+    requests = []
+
+    def observation(data: dict) -> Observation:
+        return Observation(ObservationKind(data["kind"]), data["text"], data.get("doc_id"))
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            requests.append(request)  # list.append is atomic
+            if request["problem"] == failing_problem:
+                status, body = 500, b""
+            else:
+                ctx = CriticContext(CriticKind(request["kind"]), request["problem"],
+                                    tuple(map(observation, request["context"])),
+                                    observation(request["candidate"]))
+                status = 200
+                body = json.dumps({"score": critics[request["kind"]].score(ctx)}).encode()
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = _JoinedThreadingServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/", requests
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+class _ScoreCounter:
+    def __init__(self, inner, calls: list):
+        self.inner, self.calls = inner, calls
+
+    def score(self, ctx):
+        self.calls.append(ctx)
+        return self.inner.score(ctx)
+
+
+class TestRemoteCritics:
+    """`solve --critics http` scores each decision's actions concurrently."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("trained")
+        config = mixed_suite(root)
+        runner = CliRunner()
+        for command in ("index", "collect", *(f"train-critic {k.value}" for k in CriticKind)):
+            run_cli(runner, config, *command.split())
+        return root, json.loads(Path(config).read_text(encoding="utf-8"))
+
+    @staticmethod
+    def _config(trained, name: str, url: str | None = None) -> Path:
+        """The trained workspace's config, writing to out-`name`, with critics at `url`."""
+        root, config = trained
+        config = {**config, "paths": {**config["paths"], "output_dir": str(root / f"out-{name}")}}
+        if url is not None:
+            config["critics"] = {"url": url}
+        path = root / f"config-{name}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_http_critics_give_the_trained_outputs_and_counts(self, runner, trained,
+                                                              monkeypatch, parallel):
+        root = trained[0]
+        calls = []
+        make = cli._critics_from_config
+        monkeypatch.setattr(cli, "_critics_from_config", lambda config, mode=None: {
+            kind: _ScoreCounter(backend, calls) for kind, backend in make(config, mode).items()})
+        local = self._config(trained, f"local{parallel}")
+        run_cli(runner, local, "--parallel", parallel, "solve")
+        local_calls = len(calls)
+        with serve_linear_critics(root / "critics") as (url, requests):
+            remote = self._config(trained, f"remote{parallel}", url)
+            run_cli(runner, remote, "--parallel", parallel, "solve", "--critics", "http")
+        assert local_calls > 0
+        assert len(requests) == len(calls) - local_calls == local_calls
+        for name in ("results.jsonl", "decisions.jsonl", "trajectories.jsonl"):
+            bodies = [(root / f"out-{side}{parallel}" / name).read_text().splitlines()[1:]
+                      for side in ("local", "remote")]
+            assert bodies[0] == bodies[1]
+            assert bodies[0]
+
+    def test_failed_request_costs_only_its_problem(self, runner, trained):
+        root = trained[0]
+        problems = load_problems(root / "problems.jsonl")
+        broken = problems[1]
+        before = set(threading.enumerate())
+        with serve_linear_critics(root / "critics", broken.statement) as (url, _):
+            config = self._config(trained, "failing", url)
+            result = run_cli(runner, config, "--parallel", "2", "solve", "--critics", "http",
+                             expect_exit=1)
+        assert set(threading.enumerate()) == before
+        assert f"skipped {broken.problem_id}: " in result.output
+        assert f"solved: {len(problems) - 1}" in result.output
+        bodies = {name: (root / "out-failing" / name).read_text().splitlines()[1:]
+                  for name in ("results.jsonl", "decisions.jsonl", "trajectories.jsonl")}
+        results = [json.loads(line) for line in bodies["results.jsonl"]]
+        assert [r["problem_id"] for r in results] == sorted(p.problem_id for p in problems)
+        assert [r["problem_id"] for r in results if "error" in r] == [broken.problem_id]
+        assert all("final_answer" in r for r in results if "error" not in r)
+        for name in ("decisions.jsonl", "trajectories.jsonl"):
+            logged = {json.loads(line)["problem_id"] for line in bodies[name]}
+            assert logged == {p.problem_id for p in problems} - {broken.problem_id}

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import threading
+import zlib
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from criticplan.critics import ConstantCritic, CriticContext, CriticKind
@@ -284,6 +288,79 @@ class TestSolveBasics:
             assert (kind in (ObservationKind.REASON, ObservationKind.GENQUERY,
                              ObservationKind.RETRIEVE)) == expected_subgoal
         assert is_terminal(result.trajectory, NEVER)
+
+
+class InflightCritic:
+    """Counts the calls in flight at once; with a barrier, each call waits on it.
+
+    A call waiting on `threading.Barrier(n)` returns only once n calls are in
+    flight together, so a decision of n actions completes only if its scores
+    are requested concurrently. The reasoning marker scores highest, and other
+    candidates score by a hash of their text.
+    """
+
+    def __init__(self, barrier: threading.Barrier | None = None):
+        self.barrier = barrier
+        self._lock = threading.Lock()
+        self.inflight = self.max_inflight = self.calls = 0
+
+    def score(self, ctx: CriticContext) -> float:
+        with self._lock:
+            self.calls += 1
+            self.inflight += 1
+            self.max_inflight = max(self.max_inflight, self.inflight)
+        try:
+            if self.barrier is not None:
+                self.barrier.wait()
+            if ctx.candidate.kind is ObservationKind.REASON:
+                return 1.0
+            return zlib.crc32(ctx.candidate.text.encode("utf-8")) / 2**32
+        finally:
+            with self._lock:
+                self.inflight -= 1
+
+
+class TestConcurrentScoring:
+    # Every decision has two actions: reasoning and querying (no live query
+    # to retrieve with), or the two sampled rationales.
+    BACKEND = ScriptedBackend(
+        sample_rules=[ScriptedRule(match=(), candidates=("r1", "r2"))],
+        default_conclusion="done",
+    )
+    CFG = PlannerConfig(horizon=6, sampling=SamplingConfig(k=2), answer_detector=NEVER)
+
+    def _solve(self, problem, critic, executor=None):
+        return solve(problem, dict.fromkeys(CriticKind, critic), self.BACKEND, self.CFG,
+                     executor=executor)
+
+    def test_executor_sends_a_decisions_requests_together(self, problem):
+        critic = InflightCritic(threading.Barrier(2, timeout=5))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            result = self._solve(problem, critic, pool)
+        assert critic.max_inflight == 2
+        assert len(result.decisions) == 6
+        assert all(len(d.candidates) == 2 for d in result.decisions)
+        assert critic.calls == 12
+
+    def test_default_map_scores_one_action_at_a_time(self, problem):
+        critic = InflightCritic()
+        result = self._solve(problem, critic)
+        assert critic.max_inflight == 1
+        assert critic.calls == 12
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            concurrent = self._solve(problem, InflightCritic(), pool)
+        assert concurrent == result
+
+    def test_ranking_with_an_executor_matches_without(self):
+        toy = ranking_toy()
+        corpus = build_index(toy.corpus_documents)
+        cfg = PlannerConfig(sampling=SamplingConfig(k=3), answer_detector=NEVER)
+        sequential = solve_for_ranking(toy.problem, toy.critics, toy.backend, cfg, corpus)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            concurrent = solve_for_ranking(toy.problem, toy.critics, toy.backend, cfg, corpus,
+                                           executor=pool)
+        assert concurrent == sequential
+        assert not concurrent.fallback
 
 
 class TestSolveForRanking:
