@@ -63,7 +63,6 @@ from .mdp import (
     apply,
     is_terminal,
     root_state,
-    subgoal_observation,
 )
 from .planner import (
     PlannerConfig,

@@ -266,6 +266,8 @@ class LinearCritic:
         weights = np.asarray(data["weights"], dtype=np.float64)
         if weights.shape != (data["dim"],):
             raise ValueError(f"{weights.size} weights for dim {data['dim']}")
+        if not np.isfinite(weights).all():
+            raise ValueError("weights must be finite numbers")
         return cls(
             kind=CriticKind(data["kind"]),
             weights=weights,
@@ -412,9 +414,12 @@ def _observation_payload(obs: Observation) -> dict:
 
 
 def _observation_from_payload(data: dict) -> Observation:
-    return Observation(
-        kind=ObservationKind(data["kind"]), text=data["text"], doc_id=data.get("doc_id")
-    )
+    text, doc_id = data["text"], data.get("doc_id")
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a string, got {text!r}")
+    if doc_id is not None and not isinstance(doc_id, str):
+        raise TypeError(f"doc_id must be a string or null, got {doc_id!r}")
+    return Observation(kind=ObservationKind(data["kind"]), text=text, doc_id=doc_id)
 
 
 def _pair_record(pair: PreferencePair) -> dict:

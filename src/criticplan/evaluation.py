@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence, Set
 
 from . import records
-from .errors import ConfigurationError, ContractViolationError
+from .errors import BackendError, ConfigurationError, ContractViolationError
 from .mdp import ProblemInstance
 
 logger = logging.getLogger(__name__)
@@ -42,12 +42,16 @@ class ExternalCommandChecker:
     timeout: float = 60.0
 
     def check(self, problem: ProblemInstance, final_answer: str) -> bool:
-        completed = subprocess.run(
-            list(self.command),
-            input=f"{problem.problem_id}\n{final_answer}".encode("utf-8"),
-            capture_output=True,
-            timeout=self.timeout,
-        )
+        """Raises BackendError when the program cannot start or overruns `timeout`."""
+        try:
+            completed = subprocess.run(
+                list(self.command),
+                input=f"{problem.problem_id}\n{final_answer}".encode("utf-8"),
+                capture_output=True,
+                timeout=self.timeout,
+            )
+        except (subprocess.TimeoutExpired, OSError) as err:
+            raise BackendError(f"checker command {self.command[0]!r}: {err}") from None
         return completed.returncode == 0
 
 
@@ -105,13 +109,17 @@ def ndcg_at_10(ranking: Sequence[str], judgments: Set[str]) -> float:
 RelevanceJudgments = Mapping[str, Set[str]]
 
 
+def _judgment(record: dict) -> tuple[str, set[str]]:
+    listed = record["relevant_doc_ids"]
+    doc_ids = set(listed)
+    if not isinstance(listed, list) or not all(isinstance(d, str) for d in doc_ids):
+        raise TypeError(f"relevant_doc_ids must be a list of strings, got {listed!r}")
+    return str(record["problem_id"]), doc_ids
+
+
 def load_judgments(path) -> dict[str, set[str]]:
     """Read {problem_id, relevant_doc_ids} records from a line-delimited file."""
-    return dict(records.read(
-        path,
-        lambda record: (str(record["problem_id"]), {str(d) for d in record["relevant_doc_ids"]}),
-        ConfigurationError,
-    ))
+    return dict(records.read(path, _judgment, ConfigurationError))
 
 
 def ranking_report(

@@ -318,23 +318,6 @@ class ScriptedBackend:
         ), BackendError, SCRIPTED_HEADER)
 
 
-def write_scripted_backend(
-    path,
-    sample_rules: Sequence[dict],
-    conclude_rules: Sequence[dict],
-    default_conclusion: str | None = None,
-) -> None:
-    """Persist a scripted backend rule table to its JSON file format."""
-    payload = {
-        "format": SCRIPTED_HEADER[0],
-        "version": SCRIPTED_HEADER[1],
-        "sample": list(sample_rules),
-        "conclude": list(conclude_rules),
-        "default_conclusion": default_conclusion,
-    }
-    records.write(path, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
-
-
 def post_json(url: str, payload: dict, timeout: float, attempts: int, what: str) -> dict:
     """POST `payload` as JSON and return the reply's JSON object.
 

@@ -162,9 +162,10 @@ def run_mcts(
 ) -> TreeNode:
     """Run the configured number of iterations and return the tree root.
 
-    Backend failures abort the iteration; the run fails once more than a
-    quarter of all iterations aborted. `iteration_hook(root, i)` is invoked
-    after each completed iteration (invariant checks, progress reporting).
+    Backend failures abort the iteration; the run fails, naming the last
+    failure, once more than a quarter of all iterations aborted.
+    `iteration_hook(root, i)` is invoked after each completed iteration
+    (invariant checks, progress reporting).
     `generator` is wrapped in a `MemoizedGenerator` for this run.
     """
     generator = generation.MemoizedGenerator(generator)
@@ -173,14 +174,16 @@ def run_mcts(
     for i in range(cfg.iterations):
         try:
             _run_iteration(root, generator, oracle, cfg, corpus, detector)
-        except BackendError:
+        except BackendError as err:
             aborted += 1
+            last_error = err
             continue
         if iteration_hook is not None:
             iteration_hook(root, i)
     if aborted > MAX_ABORT_FRACTION * cfg.iterations:
         raise SearchRunError(
-            f"{aborted}/{cfg.iterations} iterations aborted on backend failures"
+            f"{aborted}/{cfg.iterations} iterations aborted on backend failures; "
+            f"last: {last_error}"
         )
     return root
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Protocol, Sequence, Union
@@ -163,9 +163,10 @@ Action = Union[ChooseSubGoal, ChooseCandidate]
 class State:
     """Alternating action/observation trajectory prefix rooted at a problem.
 
-    Invariants enforced at construction: observation kinds strictly alternate
-    (marker, execution, marker, ...) and the trajectory never exceeds the
-    horizon.
+    Observation kinds alternate (marker, execution, marker, ...) and the
+    trajectory never exceeds the horizon. Construction checks the length and
+    only the newest step: `root_state` and `apply` build every state from a
+    checked one, so each trajectory they grow is legal by induction.
     """
 
     problem: ProblemInstance
@@ -179,22 +180,16 @@ class State:
             raise HorizonExceededError(
                 f"trajectory length {len(self.trajectory)} exceeds horizon {self.horizon}"
             )
-        expect_subgoal = True
-        pending: ObservationKind | None = None
-        for _, obs in self.trajectory:
-            if expect_subgoal:
-                if obs.kind not in SUBGOAL_KINDS:
-                    raise ContractViolationError(
-                        f"expected a sub-goal observation, got {obs.kind.value}"
-                    )
-                pending = obs.kind
-            else:
-                if obs.kind is not EXECUTION_FOR[pending]:
-                    raise ContractViolationError(
-                        f"sub-goal {pending.value} must be followed by "
-                        f"{EXECUTION_FOR[pending].value}, got {obs.kind.value}"
-                    )
-            expect_subgoal = not expect_subgoal
+        if not self.trajectory:
+            return
+        kind = self.trajectory[-1][1].kind
+        if len(self.trajectory) % 2:
+            if kind not in SUBGOAL_KINDS:
+                raise ContractViolationError(f"expected a sub-goal observation, got {kind.value}")
+        else:
+            before = self.trajectory[-2][1].kind
+            if kind is not EXECUTION_FOR.get(before):
+                raise ContractViolationError(f"{before.value} cannot be followed by {kind.value}")
 
     @property
     def step_index(self) -> int:
@@ -256,25 +251,6 @@ def subgoal_actions(state: State) -> list[ChooseSubGoal]:
     return actions
 
 
-def candidate_actions(
-    state: State, candidates: Sequence[Observation]
-) -> list[ChooseCandidate]:
-    """One ChooseCandidate per supplied candidate, kind-checked against the pending sub-goal."""
-    pending = state.pending_subgoal()
-    if pending is None:
-        raise ContractViolationError("candidate actions require a pending sub-goal")
-    expected = EXECUTION_FOR[pending]
-    actions = []
-    for i, obs in enumerate(candidates):
-        if obs.kind is not expected:
-            raise ContractViolationError(
-                f"candidate kind {obs.kind.value} does not match pending "
-                f"sub-goal {pending.value}"
-            )
-        actions.append(ChooseCandidate(i, obs))
-    return actions
-
-
 def action_space(state: State, candidates: Sequence[Observation] = ()) -> list[Action]:
     """All legal actions at `state`.
 
@@ -284,18 +260,17 @@ def action_space(state: State, candidates: Sequence[Observation] = ()) -> list[A
     """
     if state.step_index >= state.horizon:
         raise TerminalStateError("no actions at terminal state")
-    if state.at_decision_point():
+    pending = state.pending_subgoal()
+    if pending is None:
         return subgoal_actions(state)
-    return candidate_actions(state, candidates)
-
-
-def subgoal_observation(action: ChooseSubGoal) -> Observation:
-    """Rule-based transition: a sub-goal choice yields its canonical marker."""
-    if not isinstance(action, ChooseSubGoal):
-        raise ContractViolationError(
-            "rule-based transition only applies to sub-goal actions"
-        )
-    return action.observation
+    expected = EXECUTION_FOR[pending]
+    for obs in candidates:
+        if obs.kind is not expected:
+            raise ContractViolationError(
+                f"candidate kind {obs.kind.value} does not match pending "
+                f"sub-goal {pending.value}"
+            )
+    return [ChooseCandidate(i, obs) for i, obs in enumerate(candidates)]
 
 
 def apply(state: State, action: Action) -> State:
@@ -307,7 +282,7 @@ def apply(state: State, action: Action) -> State:
     """
     if not isinstance(action, (ChooseSubGoal, ChooseCandidate)):
         raise ContractViolationError(f"unknown action type {type(action).__name__}")
-    return replace(state, trajectory=state.trajectory + ((action, action.observation),))
+    return State(state.problem, state.trajectory + ((action, action.observation),), state.horizon)
 
 
 class AnswerDetector(Protocol):

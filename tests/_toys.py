@@ -24,14 +24,14 @@ from criticplan.critics import (
     PreferencePair,
     train_reference_critic,
 )
-from criticplan.generation import ScriptedBackend, ScriptedRule
+from criticplan import records
+from criticplan.generation import SCRIPTED_HEADER, ScriptedBackend, ScriptedRule
 from criticplan.mdp import (
     Observation,
     ObservationKind,
     ProblemInstance,
     SubGoal,
     TaskKind,
-    subgoal_observation,
     ChooseSubGoal,
 )
 
@@ -217,7 +217,7 @@ class RankingToy:
 
 
 def _marker(target: SubGoal) -> Observation:
-    return subgoal_observation(ChooseSubGoal(target))
+    return ChooseSubGoal(target).observation
 
 
 def _subgoal_pair(chosen: SubGoal, rejected: SubGoal, problem_id: str) -> PreferencePair:
@@ -337,6 +337,25 @@ def write_problems_file(path, problems) -> None:
             )
 
 
+def write_scripted_backend(
+    path,
+    sample_rules: list[dict],
+    conclude_rules: list[dict],
+    default_conclusion: str | None = None,
+) -> None:
+    """Persist a scripted backend rule table to its JSON file format."""
+    import json
+
+    payload = {
+        "format": SCRIPTED_HEADER[0],
+        "version": SCRIPTED_HEADER[1],
+        "sample": list(sample_rules),
+        "conclude": list(conclude_rules),
+        "default_conclusion": default_conclusion,
+    }
+    records.write(path, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
+
+
 def write_workspace(
     root,
     problems,
@@ -352,8 +371,6 @@ def write_workspace(
     """Materialize a full CLI workspace; returns the config file path."""
     import json
     from pathlib import Path
-
-    from criticplan.generation import write_scripted_backend
 
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)

@@ -575,6 +575,31 @@ class TestSkippedProblems:
         assert (tmp_path / "pairs" / "pairs_rationale.jsonl").exists()
 
 
+    def test_collect_skips_only_the_problem_whose_oracle_overruns(self, runner, tmp_path):
+        toy = reasoning_toy(2, n_candidates=2, horizon=2)
+        healthy, slow = (p.problem_id for p in toy.problems)
+        # At horizon 2 a plan holds one rationale; the right one resolves `healthy`.
+        conclude_rules = [{"match": [toy.correct[(healthy, 1)]], "response": f"resolved-{healthy}"},
+                          *toy.conclude_rules]
+        config = write_workspace(tmp_path, toy.problems, toy.sample_rules, conclude_rules,
+                                 horizon=2, iterations=6)
+        # The judge reads the problem id and the answer; it overruns for `slow` only.
+        judge = (f'read pid; read answer; [ "$pid" = {slow} ] && exec sleep 5; '
+                 '[ "$answer" = "resolved-$pid" ]')
+        data = json.loads(Path(config).read_text())
+        data["oracle"] = {"type": "command", "command": ["sh", "-c", judge], "timeout": 0.2}
+        Path(config).write_text(json.dumps(data))
+        result = run_cli(runner, config, "collect", expect_exit=1)
+        assert f"skipped {slow}: 6/6 iterations aborted" in result.output
+        assert "checker command 'sh'" in result.output
+        assert f"skipped {healthy}" not in result.output
+        trees = sorted(path.name for path in (tmp_path / "out" / "trees").iterdir())
+        assert trees == [f"{healthy}.tree.jsonl"]
+        pairs = [json.loads(line) for name, body in _bodies(tmp_path).items()
+                 if name.startswith("pairs/") for line in body]
+        assert pairs and {pair["problem_id"] for pair in pairs} == {healthy}
+
+
 class FlakyGenerator:
     """Wraps a generator; a request fails when its prompt's crc32 is 0 modulo `n`.
 

@@ -313,6 +313,14 @@ class TestTrainReferenceCritic:
         with pytest.raises(ConfigurationError, match="critic.json: 3 weights"):
             LinearCritic.load(path)
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_load_rejects_non_finite_weights(self, tmp_path, bad):
+        path = tmp_path / "critic.json"
+        path.write_text('{"format": "linear-critic", "version": 1, "kind": "doc", '
+                        f'"dim": 2, "weights": [0.5, {bad}]}}')
+        with pytest.raises(ConfigurationError, match="critic.json: weights must be finite"):
+            LinearCritic.load(path)
+
 
 def dense_vector(spec: FeaturizerSpec, texts) -> np.ndarray:
     """Reference featurizer: a full `dim` vector of hashed token counts."""
@@ -613,6 +621,21 @@ class TestPairFiles:
         with pytest.raises(PairFormatError) as excinfo:
             import_pairs(path)
         assert f"{path}:2: {key}" in str(excinfo.value)
+
+    @pytest.mark.parametrize("side, field, value", [
+        ("chosen", "text", 5), ("rejected", "text", None),
+        ("chosen", "doc_id", 7), ("rejected", "doc_id", True),
+    ])
+    def test_wrong_typed_observation_names_line(self, tmp_path, side, field, value):
+        export_pairs([make_pair(CriticKind.DOC, "x GOOD", "x BAD")], tmp_path)
+        path = tmp_path / pairs_filename(CriticKind.DOC)
+        header, line = path.read_text().splitlines()
+        record = json.loads(line)
+        record[side] = {**record[side], field: value}
+        path.write_text(header + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(PairFormatError) as excinfo:
+            import_pairs(path)
+        assert f"{path}:2: {field} must be a string" in str(excinfo.value)
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "pairs.jsonl"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from criticplan.errors import ConfigurationError, ContractViolationError
+from criticplan.errors import BackendError, ConfigurationError, ContractViolationError
 from criticplan.evaluation import (
     ExternalCommandChecker,
     NormalizedExactMatchChecker,
@@ -103,6 +103,17 @@ class TestExternalCommandChecker:
         )
         assert checker.check(make_problem("p77", ""), "anything")
 
+    def test_overrun_is_a_backend_error_naming_the_command(self):
+        checker = ExternalCommandChecker(command=("sh", "-c", "exec sleep 5"), timeout=0.2)
+        with pytest.raises(BackendError, match="checker command 'sh': .*timed out after 0.2"):
+            checker.check(make_problem("p", ""), "anything")
+
+    def test_missing_program_is_a_backend_error_naming_the_command(self, tmp_path):
+        missing = str(tmp_path / "no-such-judge")
+        checker = ExternalCommandChecker(command=(missing,))
+        with pytest.raises(BackendError, match="no-such-judge"):
+            checker.check(make_problem("p", ""), "anything")
+
 
 class TestNdcg:
     def test_perfect_ranking(self):
@@ -174,6 +185,14 @@ class TestReports:
         with pytest.raises(ConfigurationError, match=message) as err:
             load_judgments(path)
         assert f"{path}:2:" in str(err.value)
+
+    @pytest.mark.parametrize("doc_ids", ['"doc1"', '{"doc1": 1}', '["doc1", 7]', '[null]'])
+    def test_load_judgments_requires_a_list_of_strings(self, tmp_path, doc_ids):
+        path = tmp_path / "judgments.jsonl"
+        path.write_text(f'{{"problem_id": "p1", "relevant_doc_ids": {doc_ids}}}\n')
+        with pytest.raises(ConfigurationError, match="must be a list of strings") as err:
+            load_judgments(path)
+        assert f"{path}:1:" in str(err.value)
 
     def test_ranking_report_mean(self):
         mean, per_problem = ranking_report(

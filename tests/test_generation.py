@@ -30,7 +30,6 @@ from criticplan.generation import (
     render_rationale_prompt,
     sample_queries,
     sample_rationales,
-    write_scripted_backend,
 )
 from criticplan.mdp import ObservationKind, SubGoal, root_state
 from criticplan.retrieval import build_index
@@ -42,6 +41,7 @@ from tests.conftest import (
     rationale,
     serve_fixed_reply,
 )
+from tests._toys import write_scripted_backend
 
 
 def scripted(candidates, conclusion="done"):

@@ -30,7 +30,6 @@ from criticplan.mdp import (
     is_terminal,
     root_state,
     subgoal_actions,
-    subgoal_observation,
     trajectory_records,
 )
 from tests.conftest import advance_candidate, advance_subgoal, doc, query, rationale
@@ -58,27 +57,23 @@ class TestObservation:
 
 class TestSubgoalObservation:
     def test_reasoning_marker(self):
-        obs = subgoal_observation(ChooseSubGoal(SubGoal.REASONING))
+        obs = ChooseSubGoal(SubGoal.REASONING).observation
         assert obs.kind is ObservationKind.REASON
         assert obs.text == "The next step is to generate a rationale"
 
     def test_retrieving_marker(self):
-        obs = subgoal_observation(ChooseSubGoal(SubGoal.RETRIEVING))
+        obs = ChooseSubGoal(SubGoal.RETRIEVING).observation
         assert obs.kind is ObservationKind.RETRIEVE
         assert obs.text == "The next step is to retrieve a document"
 
     def test_querying_marker(self):
-        obs = subgoal_observation(ChooseSubGoal(SubGoal.QUERYING))
+        obs = ChooseSubGoal(SubGoal.QUERYING).observation
         assert obs.kind is ObservationKind.GENQUERY
         assert obs.text == "The next step is to generate a query"
 
-    def test_candidate_action_rejected(self):
-        with pytest.raises(ContractViolationError):
-            subgoal_observation(ChooseCandidate(0, rationale("x")))
-
     def test_deterministic(self):
-        first = subgoal_observation(ChooseSubGoal(SubGoal.REASONING))
-        second = subgoal_observation(ChooseSubGoal(SubGoal.REASONING))
+        first = ChooseSubGoal(SubGoal.REASONING).observation
+        second = ChooseSubGoal(SubGoal.REASONING).observation
         assert first == second
 
 
@@ -187,7 +182,7 @@ class TestApply:
     def test_action_yields_its_observation(self, problem):
         marker = ChooseSubGoal(SubGoal.REASONING)
         state = apply(root_state(problem), marker)
-        assert state.trajectory == ((marker, subgoal_observation(marker)),)
+        assert state.trajectory == ((marker, marker.observation),)
         pick = ChooseCandidate(1, rationale("b"))
         assert apply(state, pick).trajectory[-1] == (pick, rationale("b"))
 
@@ -220,7 +215,7 @@ class TestIsTerminal:
 
 class TestStateInvariants:
     def test_alternation_enforced(self, problem):
-        marker = subgoal_observation(ChooseSubGoal(SubGoal.REASONING))
+        marker = ChooseSubGoal(SubGoal.REASONING).observation
         bad = (
             (ChooseSubGoal(SubGoal.REASONING), marker),
             (ChooseSubGoal(SubGoal.REASONING), marker),
@@ -229,7 +224,7 @@ class TestStateInvariants:
             State(problem=problem, trajectory=bad)
 
     def test_execution_kind_must_match_subgoal(self, problem):
-        marker = subgoal_observation(ChooseSubGoal(SubGoal.REASONING))
+        marker = ChooseSubGoal(SubGoal.REASONING).observation
         bad = (
             (ChooseSubGoal(SubGoal.REASONING), marker),
             (ChooseCandidate(0, query("q")), query("q")),
@@ -237,9 +232,54 @@ class TestStateInvariants:
         with pytest.raises(ContractViolationError):
             State(problem=problem, trajectory=bad)
 
+    def test_execution_in_marker_position_rejected(self, problem):
+        marker = ChooseSubGoal(SubGoal.REASONING).observation
+        bad = (
+            (ChooseSubGoal(SubGoal.REASONING), marker),
+            (ChooseCandidate(0, rationale("r")), rationale("r")),
+            (ChooseCandidate(0, rationale("again")), rationale("again")),
+        )
+        with pytest.raises(ContractViolationError, match="expected a sub-goal observation"):
+            State(problem=problem, trajectory=bad)
+
     def test_empty_statement_rejected(self):
         with pytest.raises(ContractViolationError):
             ProblemInstance(problem_id="p", statement="")
+
+
+def _alternates(trajectory) -> bool:
+    """Reference check of a whole trajectory: marker, its execution, marker, ..."""
+    pending = None
+    for position, (_, obs) in enumerate(trajectory):
+        if position % 2 == 0:
+            if obs.kind not in mdp.SUBGOAL_KINDS:
+                return False
+            pending = obs.kind
+        elif obs.kind is not mdp.EXECUTION_FOR[pending]:
+            return False
+    return True
+
+
+_ANY_OBSERVATION = [ChooseSubGoal(goal).observation for goal in SubGoal] + [
+    rationale("r"), query("q"), doc("d", "id"),
+]
+
+
+def _walk(steps, horizon: int) -> list[State]:
+    """Every state that `steps` reaches from the root through `action_space` and `apply`."""
+    state = root_state(ProblemInstance(problem_id="w", statement="walk"), horizon=horizon)
+    reached = [state]
+    for choice in steps:
+        if state.step_index >= state.horizon:
+            break
+        pending = state.pending_subgoal()
+        candidates = [] if pending is None else [
+            obs for obs in _ANY_OBSERVATION if obs.kind is mdp.EXECUTION_FOR[pending]
+        ]
+        actions = action_space(state, candidates)
+        state = apply(state, actions[choice % len(actions)])
+        reached.append(state)
+    return reached
 
 
 @st.composite
@@ -271,8 +311,7 @@ class TestProperties:
                 else:
                     candidates = [doc(f"d{i}", f"id{i}") for i in range(3)]
                 state = apply(state, ChooseCandidate(choice % 3, candidates[choice % 3]))
-        # State construction re-validates alternation; reaching here means every
-        # intermediate state was legal.
+        # Each State checks only its newest step; this checks every position.
         kinds = [obs.kind for obs in state.observations]
         for i, kind in enumerate(kinds):
             if i % 2 == 0:
@@ -287,6 +326,26 @@ class TestProperties:
                     ObservationKind.QUERY,
                     ObservationKind.DOC,
                 )
+
+    @given(legal_walks())
+    @settings(max_examples=200, deadline=None)
+    def test_every_reached_state_passes_the_full_walk(self, steps):
+        for state in _walk(steps, horizon=20):
+            assert _alternates(state.trajectory)
+
+    @given(legal_walks(), st.sampled_from(_ANY_OBSERVATION))
+    @settings(max_examples=200, deadline=None)
+    def test_tail_check_agrees_with_full_walk(self, steps, obs):
+        """Extending a reached state by any observation is accepted iff the full walk accepts it."""
+        state = _walk(steps, horizon=20)[-1]
+        trajectory = state.trajectory + ((ChooseCandidate(0, obs), obs),)
+        try:
+            State(state.problem, trajectory, state.horizon)
+        except ContractViolationError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted is _alternates(trajectory)
 
     @given(legal_walks())
     @settings(max_examples=100, deadline=None)
