@@ -207,14 +207,12 @@ def index(ctx: click.Context):
 
 
 @main.command()
-@click.option("--problems", "problems_path", type=click.Path(), default=None,
-              help="Problem set file (defaults to paths.problems_file).")
 @click.pass_context
-def collect(ctx: click.Context, problems_path: str | None):
+def collect(ctx: click.Context):
     """Run tree search per problem; write its tree dump and replace the pair files."""
     config: EngineConfig = ctx.obj["config"]
     _echo_config(config)
-    problems = load_problems(problems_path or config.path("problems_file"))
+    problems = load_problems(config.path("problems_file"))
     generator = _generator_from_config(config)
     oracle = mcts.CheckerOracle(_checker_from_spec(config.oracle, "oracle"))
     corpus = _load_corpus(config)
@@ -271,16 +269,14 @@ def train_critic(ctx: click.Context, kind: str):
 
 
 @main.command()
-@click.option("--problems", "problems_path", type=click.Path(), default=None,
-              help="Problem set file (defaults to paths.problems_file).")
 @click.option("--critics", "critics_mode", type=click.Choice(["trained", "constant", "http"]),
               default=None, help="Override the critic backend type.")
 @click.pass_context
-def solve(ctx: click.Context, problems_path: str | None, critics_mode: str | None):
+def solve(ctx: click.Context, critics_mode: str | None):
     """Solve every problem with critic-guided planning; write results and logs."""
     config: EngineConfig = ctx.obj["config"]
     _echo_config(config)
-    problems = load_problems(problems_path or config.path("problems_file"))
+    problems = load_problems(config.path("problems_file"))
     generator = _generator_from_config(config)
     critic_type = critics_mode or config.critics.get("type", "trained")
     critic_backends = _critics_from_config(config, critic_type)
@@ -374,9 +370,12 @@ def eval_cmd(ctx: click.Context, results_path: str | None, judgments_path: str |
                              f"{problem.task_kind.value!r}, not {record['task']!r}")
         error = record.get("error")
         if problem.task_kind is TaskKind.RETRIEVAL_RANKING:
-            ranking_rows[problem.problem_id] = [] if error else list(record["doc_ids"])
+            ranking_rows[problem.problem_id] = [] if error else records.strings(
+                record["doc_ids"], "doc_ids")
         elif error:
             answer_rows.append(evaluation.ProblemOutcome(problem.problem_id, False, error=error))
+        elif not isinstance(record["final_answer"], str):
+            raise TypeError(f"final_answer must be a string, got {record['final_answer']!r}")
         else:
             answer_rows.append((problem, record["final_answer"]))
 

@@ -38,6 +38,7 @@ from .mdp import (
     Action,
     ChooseCandidate,
     ChooseSubGoal,
+    EXECUTION_FOR,
     Observation,
     ObservationKind,
     State,
@@ -55,12 +56,8 @@ class CriticKind(Enum):
     __hash__ = object.__hash__  # members compare by identity; skips Enum's Python-level hash
 
 
-# Critic kind that judges the children of a state ending in each observation.
-_KIND_FOR_PENDING = {
-    ObservationKind.REASON: CriticKind.RATIONALE,
-    ObservationKind.GENQUERY: CriticKind.QUERY,
-    ObservationKind.RETRIEVE: CriticKind.DOC,
-}
+# An execution critic is named after the observation kind it scores.
+_KIND_FOR_PENDING = {kind: CriticKind(execution.value) for kind, execution in EXECUTION_FOR.items()}
 
 
 @dataclass(frozen=True)
@@ -142,8 +139,9 @@ def build_context(state: State, kind: CriticKind, candidate: Observation) -> Cri
 def critic_kind_for(state: State) -> CriticKind:
     """Critic kind that judges the actions available at `state`.
 
-    States pending an execution take the matching execution critic; everything
-    else (root or execution states) takes the sub-goal critic.
+    States pending an execution take the critic named after the execution kind
+    they await; everything else (root or execution states) takes the sub-goal
+    critic.
     """
     return _KIND_FOR_PENDING.get(state.pending_subgoal(), CriticKind.SUBGOAL)
 

@@ -109,17 +109,22 @@ def ndcg_at_10(ranking: Sequence[str], judgments: Set[str]) -> float:
 RelevanceJudgments = Mapping[str, Set[str]]
 
 
-def _judgment(record: dict) -> tuple[str, set[str]]:
-    listed = record["relevant_doc_ids"]
-    doc_ids = set(listed)
-    if not isinstance(listed, list) or not all(isinstance(d, str) for d in doc_ids):
-        raise TypeError(f"relevant_doc_ids must be a list of strings, got {listed!r}")
-    return str(record["problem_id"]), doc_ids
-
-
 def load_judgments(path) -> dict[str, set[str]]:
-    """Read {problem_id, relevant_doc_ids} records from a line-delimited file."""
-    return dict(records.read(path, _judgment, ConfigurationError))
+    """Read {problem_id, relevant_doc_ids} records, one per problem, from a line-delimited file."""
+    judgments: dict[str, set[str]] = {}
+
+    def parse(record: dict) -> None:
+        listed = record["relevant_doc_ids"]
+        doc_ids = set(listed)
+        if not isinstance(listed, list) or not all(isinstance(d, str) for d in doc_ids):
+            raise TypeError(f"relevant_doc_ids must be a list of strings, got {listed!r}")
+        problem_id = str(record["problem_id"])
+        if problem_id in judgments:
+            raise ValueError(f"duplicate problem_id {problem_id!r}")
+        judgments[problem_id] = doc_ids
+
+    records.read(path, parse, ConfigurationError)
+    return judgments
 
 
 def ranking_report(

@@ -267,9 +267,7 @@ class ScriptedRule:
 
 
 def _strings(value, key: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise TypeError(f"rule {key!r} must be a list of strings, got {value!r}")
-    return tuple(value)
+    return tuple(records.strings(value, f"rule {key!r}"))
 
 
 def _as_rule(entry: dict, *, for_conclude: bool) -> ScriptedRule:
@@ -294,6 +292,11 @@ class ScriptedBackend:
     sample_rules: list[ScriptedRule] = field(default_factory=list)
     conclude_rules: list[ScriptedRule] = field(default_factory=list)
     default_conclusion: str | None = None
+
+    def __post_init__(self):
+        if self.default_conclusion is not None and not isinstance(self.default_conclusion, str):
+            raise ContractViolationError(
+                f"default_conclusion must be a string, got {self.default_conclusion!r}")
 
     def sample(self, prompt: str, k: int, temperature: float) -> list[str]:
         for rule in self.sample_rules:

@@ -202,7 +202,7 @@ def _run_iteration(
             # With nothing to execute the node becomes a dead end that is
             # still simulated, so its emptiness is priced into the tree.
             state = node.state
-            candidates = () if state.at_decision_point() else generation.candidates_for(
+            candidates = () if state.pending_subgoal() is None else generation.candidates_for(
                 state, generator, corpus, cfg.sampling
             )
             node.pending = deque(action_space(state, candidates))

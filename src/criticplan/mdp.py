@@ -1,9 +1,9 @@
 """Core decision process: states, observations, actions, and rule-based transitions.
 
-A trajectory alternates between sub-goal observations (fixed natural-language
-markers) and execution observations (generated rationales, queries, or
-retrieved documents). All types here are immutable values so that tree search
-can branch cheaply by sharing prefixes.
+A trajectory is a sequence of actions; each determines its observation, and
+observations alternate between sub-goal markers (fixed natural-language texts)
+and execution outcomes (generated rationales, queries, or retrieved documents).
+All types are immutable values, so tree search branches by sharing prefixes.
 """
 
 from __future__ import annotations
@@ -36,44 +36,38 @@ class ObservationKind(Enum):
     __hash__ = object.__hash__  # members compare by identity; skips Enum's Python-level hash
 
 
-SUBGOAL_KINDS = frozenset(
-    {ObservationKind.REASON, ObservationKind.GENQUERY, ObservationKind.RETRIEVE}
-)
-
-# Which execution kind realizes each pending sub-goal.
-EXECUTION_FOR = {
-    ObservationKind.REASON: ObservationKind.RATIONALE,
-    ObservationKind.GENQUERY: ObservationKind.QUERY,
-    ObservationKind.RETRIEVE: ObservationKind.DOC,
-}
-
-
 class SubGoal(Enum):
     """The three planner intentions available at a decision point."""
 
     REASONING = "reasoning"
     QUERYING = "querying"
     RETRIEVING = "retrieving"
+    __hash__ = object.__hash__  # members compare by identity; skips Enum's Python-level hash
 
 
-# Canonical marker text for each sub-goal; the rule-based transition always
-# emits exactly these strings.
-SUBGOAL_MARKERS: dict[SubGoal, tuple[ObservationKind, str]] = {
+# Each sub-goal's marker kind, canonical marker text and the execution kind that
+# realizes it; the other sub-goal tables are derived from this one.
+SUBGOAL_MARKERS: dict[SubGoal, tuple[ObservationKind, str, ObservationKind]] = {
     SubGoal.REASONING: (
         ObservationKind.REASON,
         "The next step is to generate a rationale",
+        ObservationKind.RATIONALE,
     ),
     SubGoal.QUERYING: (
         ObservationKind.GENQUERY,
         "The next step is to generate a query",
+        ObservationKind.QUERY,
     ),
     SubGoal.RETRIEVING: (
         ObservationKind.RETRIEVE,
         "The next step is to retrieve a document",
+        ObservationKind.DOC,
     ),
 }
 
-_MARKER_TEXTS = {kind: text for kind, text in SUBGOAL_MARKERS.values()}
+_MARKER_TEXTS = {kind: text for kind, text, _ in SUBGOAL_MARKERS.values()}
+SUBGOAL_KINDS = frozenset(_MARKER_TEXTS)
+EXECUTION_FOR = {kind: execution for kind, _, execution in SUBGOAL_MARKERS.values()}
 
 
 @dataclass(frozen=True)
@@ -108,7 +102,7 @@ class Observation:
 
 # The one observation each sub-goal choice yields; values are immutable, so shared.
 _MARKER_OBSERVATIONS = {
-    goal: Observation(kind, text) for goal, (kind, text) in SUBGOAL_MARKERS.items()
+    goal: Observation(kind, text) for goal, (kind, text, _) in SUBGOAL_MARKERS.items()
 }
 
 
@@ -137,23 +131,22 @@ class ChooseSubGoal:
 
     target: SubGoal
 
-    @property
+    @cached_property
     def observation(self) -> Observation:
-        """The rule-based transition: the sub-goal's canonical marker."""
+        """The rule-based transition: the sub-goal's canonical marker, cached
+        in the instance `__dict__` because every later state reads it."""
         return _MARKER_OBSERVATIONS[self.target]
 
 
 @dataclass(frozen=True)
 class ChooseCandidate:
-    """Sub-goal-state action: pick one sampled/retrieved execution candidate."""
+    """Sub-goal-state action: pick one sampled/retrieved execution candidate.
+
+    Choosing a candidate yields that candidate as its observation.
+    """
 
     index: int
-    candidate: Observation
-
-    @property
-    def observation(self) -> Observation:
-        """Choosing a candidate yields that candidate."""
-        return self.candidate
+    observation: Observation
 
 
 Action = Union[ChooseSubGoal, ChooseCandidate]
@@ -161,16 +154,16 @@ Action = Union[ChooseSubGoal, ChooseCandidate]
 
 @dataclass(frozen=True)
 class State:
-    """Alternating action/observation trajectory prefix rooted at a problem.
+    """Trajectory of actions rooted at a problem.
 
-    Observation kinds alternate (marker, execution, marker, ...) and the
+    Their observation kinds alternate (marker, execution, marker, ...) and the
     trajectory never exceeds the horizon. Construction checks the length and
     only the newest step: `root_state` and `apply` build every state from a
     checked one, so each trajectory they grow is legal by induction.
     """
 
     problem: ProblemInstance
-    trajectory: tuple[tuple[Action, Observation], ...] = ()
+    trajectory: tuple[Action, ...] = ()
     horizon: int = DEFAULT_HORIZON
 
     def __post_init__(self):
@@ -182,12 +175,12 @@ class State:
             )
         if not self.trajectory:
             return
-        kind = self.trajectory[-1][1].kind
+        kind = self.trajectory[-1].observation.kind
         if len(self.trajectory) % 2:
             if kind not in SUBGOAL_KINDS:
                 raise ContractViolationError(f"expected a sub-goal observation, got {kind.value}")
         else:
-            before = self.trajectory[-2][1].kind
+            before = self.trajectory[-2].observation.kind
             if kind is not EXECUTION_FOR.get(before):
                 raise ContractViolationError(f"{before.value} cannot be followed by {kind.value}")
 
@@ -198,19 +191,19 @@ class State:
     @cached_property
     def observations(self) -> tuple[Observation, ...]:
         """Computed once per state; kept in the instance `__dict__`, outside eq and hash."""
-        return tuple(obs for _, obs in self.trajectory)
+        return tuple(action.observation for action in self.trajectory)
 
     @property
     def last_observation(self) -> Observation | None:
         if not self.trajectory:
             return None
-        return self.trajectory[-1][1]
+        return self.trajectory[-1].observation
 
     def latest(self, kind: ObservationKind) -> Observation | None:
         """The most recent observation of `kind`, if any."""
-        for _, obs in reversed(self.trajectory):
-            if obs.kind is kind:
-                return obs
+        for action in reversed(self.trajectory):
+            if action.observation.kind is kind:
+                return action.observation
         return None
 
     def pending_subgoal(self) -> ObservationKind | None:
@@ -219,10 +212,6 @@ class State:
         if last is not None and last.kind in SUBGOAL_KINDS:
             return last.kind
         return None
-
-    def at_decision_point(self) -> bool:
-        """True at the root or after an execution observation."""
-        return self.pending_subgoal() is None
 
 
 def root_state(problem: ProblemInstance, horizon: int = DEFAULT_HORIZON) -> State:
@@ -235,34 +224,27 @@ def has_live_query(state: State) -> bool:
     Retrieval consumes one query; without a live one the retriever has no
     input, so the `retrieving` sub-goal is masked.
     """
-    for _, obs in reversed(state.trajectory):
-        if obs.kind is ObservationKind.QUERY:
+    for action in reversed(state.trajectory):
+        if action.observation.kind is ObservationKind.QUERY:
             return True
-        if obs.kind is ObservationKind.DOC:
+        if action.observation.kind is ObservationKind.DOC:
             return False
     return False
-
-
-def subgoal_actions(state: State) -> list[ChooseSubGoal]:
-    """Legal sub-goal actions at a decision point, in fixed tie-break order."""
-    actions = [ChooseSubGoal(SubGoal.REASONING), ChooseSubGoal(SubGoal.QUERYING)]
-    if has_live_query(state):
-        actions.append(ChooseSubGoal(SubGoal.RETRIEVING))
-    return actions
 
 
 def action_space(state: State, candidates: Sequence[Observation] = ()) -> list[Action]:
     """All legal actions at `state`.
 
-    Decision points return sub-goal actions (with `retrieving` masked while no
-    live query exists). Sub-goal states return one action per supplied
-    candidate; candidates come from the generation or retrieval modules.
+    Decision points return sub-goal actions in tie-break order, `retrieving`
+    masked while no live query exists. Sub-goal states return one action per
+    supplied candidate; candidates come from the generation or retrieval modules.
     """
     if state.step_index >= state.horizon:
         raise TerminalStateError("no actions at terminal state")
     pending = state.pending_subgoal()
     if pending is None:
-        return subgoal_actions(state)
+        live = has_live_query(state)
+        return [ChooseSubGoal(goal) for goal in SubGoal if live or goal is not SubGoal.RETRIEVING]
     expected = EXECUTION_FOR[pending]
     for obs in candidates:
         if obs.kind is not expected:
@@ -274,7 +256,7 @@ def action_space(state: State, candidates: Sequence[Observation] = ()) -> list[A
 
 
 def apply(state: State, action: Action) -> State:
-    """Append (action, action.observation) and advance the step index.
+    """Append `action`, which yields `action.observation`, and advance the step index.
 
     The input state is unmodified; a new value is returned. The new state's
     own checks reject a step past the horizon, a sub-goal away from a
@@ -282,7 +264,7 @@ def apply(state: State, action: Action) -> State:
     """
     if not isinstance(action, (ChooseSubGoal, ChooseCandidate)):
         raise ContractViolationError(f"unknown action type {type(action).__name__}")
-    return State(state.problem, state.trajectory + ((action, action.observation),), state.horizon)
+    return State(state.problem, state.trajectory + (action,), state.horizon)
 
 
 class AnswerDetector(Protocol):
@@ -358,20 +340,18 @@ def _action_variant(action: Action) -> str:
 
 
 def trajectory_records(state: State) -> list[dict]:
-    """One record per (action, observation), with byte-stable field order."""
-    out = []
-    for step, (action, obs) in enumerate(state.trajectory, start=1):
-        out.append(
-            {
-                "problem_id": state.problem.problem_id,
-                "step": step,
-                "action_variant": _action_variant(action),
-                "kind": obs.kind.value,
-                "text": obs.text,
-                "doc_id": obs.doc_id,
-            }
-        )
-    return out
+    """One record per action and the observation it yields, with byte-stable field order."""
+    return [
+        {
+            "problem_id": state.problem.problem_id,
+            "step": step,
+            "action_variant": _action_variant(action),
+            "kind": obs.kind.value,
+            "text": obs.text,
+            "doc_id": obs.doc_id,
+        }
+        for step, (action, obs) in enumerate(zip(state.trajectory, state.observations), start=1)
+    ]
 
 
 def format_trajectory_log(state: State) -> str:

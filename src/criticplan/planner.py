@@ -145,7 +145,7 @@ class _Loop:
                     score=s,
                     chosen=(i == best),
                     label=(a.target.value if isinstance(a, ChooseSubGoal)
-                           else a.candidate.doc_id or ""),
+                           else a.observation.doc_id or ""),
                 )
                 for i, (a, s) in enumerate(zip(actions, scores))
             ),

@@ -94,6 +94,13 @@ def read(path, parse, error, header: tuple[str, int] | None = None) -> list:
     return parsed
 
 
+def strings(value, what: str) -> list[str]:
+    """`value` if it is a list of strings; a TypeError naming `what` otherwise."""
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise TypeError(f"{what} must be a list of strings, got {value!r}")
+    return value
+
+
 def read_document(path, parse, error, header: tuple[str, int]):
     """`parse` of a single-object file whose `format` and `version` match `header`."""
     return _decode(Path(path).read_bytes(), parse, error, str(path), header)

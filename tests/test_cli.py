@@ -388,6 +388,17 @@ class TestLoadProblems:
         assert (tmp_path / "out" / "results.jsonl").read_bytes() == results
         assert not (tmp_path / "pairs").exists()
 
+    @pytest.mark.parametrize("command", ["collect", "solve"])
+    def test_problem_set_comes_only_from_the_config(self, runner, tmp_path, command):
+        # `eval` scores paths.problems_file, so a run over any other set would
+        # be scored against problems it never saw.
+        toy = reasoning_toy(2)
+        config = write_workspace(tmp_path, toy.problems, toy.sample_rules, toy.conclude_rules)
+        result = runner.invoke(main, ["--config", config, command,
+                                      "--problems", str(tmp_path / "problems.jsonl")])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--problems" in result.output
+
 
 def test_readme_pipeline_names_every_command():
     text = README.read_text(encoding="utf-8").split("## Command-line pipeline", 1)[1]
@@ -744,6 +755,29 @@ class TestBatchFailures:
         kind = "answer_match" if record["task"] == "retrieval_ranking" else "retrieval_ranking"
         assert str(result.exception) == (f"{results}:3: problem {record['problem_id']!r} has "
                                          f"task_kind {kind!r}, not {record['task']!r}")
+        assert not (tmp_path / "out" / "report.txt").exists()
+
+    @pytest.mark.parametrize("record, message", [
+        # A bare string used to be scored as its characters: "d" read nDCG@10 1.0.
+        ({"problem_id": "r1", "task": "retrieval_ranking", "doc_ids": "d1"},
+         "doc_ids must be a list of strings, got 'd1'"),
+        ({"problem_id": "r1", "task": "retrieval_ranking", "doc_ids": ["d1", 2]},
+         "doc_ids must be a list of strings, got ['d1', 2]"),
+        # A numeric answer used to be reported as a checker crash.
+        ({"problem_id": "p1", "task": "answer_match", "final_answer": 5},
+         "final_answer must be a string, got 5"),
+        ({"problem_id": "p1", "task": "answer_match", "final_answer": None},
+         "final_answer must be a string, got None"),
+    ])
+    def test_eval_rejects_a_wrong_typed_result(self, runner, tmp_path, record, message):
+        config = _eval_workspace(tmp_path, [
+            {"problem_id": "p2", "task": "answer_match", "final_answer": "y"},
+            record,
+        ])
+        result = runner.invoke(main, ["--config", str(config), "eval"])
+        assert isinstance(result.exception, ConfigurationError)
+        results = tmp_path / "out" / "results.jsonl"
+        assert str(result.exception) == f"{results}:3: {message}"
         assert not (tmp_path / "out" / "report.txt").exists()
 
     def test_eval_scores_a_problem_without_a_record_failed(self, runner, tmp_path):

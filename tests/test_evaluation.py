@@ -178,6 +178,8 @@ class TestReports:
         ("{not json", "Expecting property name"),
         ('{"problem_id": "p2"}', "missing key 'relevant_doc_ids'"),
         ('{"problem_id": "p2", "relevant_doc_ids": 5}', "not iterable"),
+        # A repeated problem used to replace the first line's judgments without a word.
+        ('{"problem_id": "p1", "relevant_doc_ids": ["b"]}', "duplicate problem_id 'p1'"),
     ])
     def test_load_judgments_bad_line_names_file_and_line(self, tmp_path, bad_line, message):
         path = tmp_path / "judgments.jsonl"

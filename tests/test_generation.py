@@ -262,6 +262,16 @@ class TestScriptedBackendFile:
             ScriptedBackend.from_file(path)
         assert f"{path}: rule '" in str(err.value)
 
+    @pytest.mark.parametrize("default", [5, ["dunno"], {"text": "dunno"}])
+    def test_wrong_typed_default_conclusion_names_file(self, tmp_path, default):
+        path = tmp_path / "backend.json"
+        path.write_text(json.dumps(
+            {"format": "scripted-generator", "version": 1, "default_conclusion": default}
+        ))
+        with pytest.raises(BackendError) as err:
+            ScriptedBackend.from_file(path)
+        assert str(err.value) == f"{path}: default_conclusion must be a string, got {default!r}"
+
     # Rules are scanned in order and the first whose substrings all occur wins.
     FIRST_MATCH = ScriptedBackend(
         sample_rules=[

@@ -29,7 +29,6 @@ from criticplan.mdp import (
     format_trajectory_log,
     is_terminal,
     root_state,
-    subgoal_actions,
     trajectory_records,
 )
 from tests.conftest import advance_candidate, advance_subgoal, doc, query, rationale
@@ -182,9 +181,12 @@ class TestApply:
     def test_action_yields_its_observation(self, problem):
         marker = ChooseSubGoal(SubGoal.REASONING)
         state = apply(root_state(problem), marker)
-        assert state.trajectory == ((marker, marker.observation),)
+        assert state.trajectory == (marker,)
+        assert state.last_observation == marker.observation
         pick = ChooseCandidate(1, rationale("b"))
-        assert apply(state, pick).trajectory[-1] == (pick, rationale("b"))
+        state = apply(state, pick)
+        assert state.trajectory[-1] == pick
+        assert state.observations == (marker.observation, rationale("b"))
 
     def test_unknown_action_type_rejected(self, problem):
         with pytest.raises(ContractViolationError, match="unknown action type str"):
@@ -215,29 +217,20 @@ class TestIsTerminal:
 
 class TestStateInvariants:
     def test_alternation_enforced(self, problem):
-        marker = ChooseSubGoal(SubGoal.REASONING).observation
-        bad = (
-            (ChooseSubGoal(SubGoal.REASONING), marker),
-            (ChooseSubGoal(SubGoal.REASONING), marker),
-        )
+        bad = (ChooseSubGoal(SubGoal.REASONING), ChooseSubGoal(SubGoal.REASONING))
         with pytest.raises(ContractViolationError):
             State(problem=problem, trajectory=bad)
 
     def test_execution_kind_must_match_subgoal(self, problem):
-        marker = ChooseSubGoal(SubGoal.REASONING).observation
-        bad = (
-            (ChooseSubGoal(SubGoal.REASONING), marker),
-            (ChooseCandidate(0, query("q")), query("q")),
-        )
+        bad = (ChooseSubGoal(SubGoal.REASONING), ChooseCandidate(0, query("q")))
         with pytest.raises(ContractViolationError):
             State(problem=problem, trajectory=bad)
 
     def test_execution_in_marker_position_rejected(self, problem):
-        marker = ChooseSubGoal(SubGoal.REASONING).observation
         bad = (
-            (ChooseSubGoal(SubGoal.REASONING), marker),
-            (ChooseCandidate(0, rationale("r")), rationale("r")),
-            (ChooseCandidate(0, rationale("again")), rationale("again")),
+            ChooseSubGoal(SubGoal.REASONING),
+            ChooseCandidate(0, rationale("r")),
+            ChooseCandidate(0, rationale("again")),
         )
         with pytest.raises(ContractViolationError, match="expected a sub-goal observation"):
             State(problem=problem, trajectory=bad)
@@ -250,7 +243,7 @@ class TestStateInvariants:
 def _alternates(trajectory) -> bool:
     """Reference check of a whole trajectory: marker, its execution, marker, ..."""
     pending = None
-    for position, (_, obs) in enumerate(trajectory):
+    for position, obs in enumerate(action.observation for action in trajectory):
         if position % 2 == 0:
             if obs.kind not in mdp.SUBGOAL_KINDS:
                 return False
@@ -298,8 +291,8 @@ class TestProperties:
         for choice in steps:
             if state.step_index >= state.horizon:
                 break
-            if state.at_decision_point():
-                actions = subgoal_actions(state)
+            if state.pending_subgoal() is None:
+                actions = action_space(state)
                 action = actions[choice % len(actions)]
                 state = apply(state, action)
             else:
@@ -338,7 +331,7 @@ class TestProperties:
     def test_tail_check_agrees_with_full_walk(self, steps, obs):
         """Extending a reached state by any observation is accepted iff the full walk accepts it."""
         state = _walk(steps, horizon=20)[-1]
-        trajectory = state.trajectory + ((ChooseCandidate(0, obs), obs),)
+        trajectory = state.trajectory + (ChooseCandidate(0, obs),)
         try:
             State(state.problem, trajectory, state.horizon)
         except ContractViolationError:
@@ -355,7 +348,7 @@ class TestProperties:
         for choice in steps:
             if state.step_index >= state.horizon:
                 break
-            if state.at_decision_point():
+            if state.pending_subgoal() is None:
                 actions = action_space(state)
             else:
                 pending = state.pending_subgoal()
