@@ -114,10 +114,7 @@ def load_judgments(path) -> dict[str, set[str]]:
     judgments: dict[str, set[str]] = {}
 
     def parse(record: dict) -> None:
-        listed = record["relevant_doc_ids"]
-        doc_ids = set(listed)
-        if not isinstance(listed, list) or not all(isinstance(d, str) for d in doc_ids):
-            raise TypeError(f"relevant_doc_ids must be a list of strings, got {listed!r}")
+        doc_ids = set(records.strings(record["relevant_doc_ids"], "relevant_doc_ids"))
         problem_id = str(record["problem_id"])
         if problem_id in judgments:
             raise ValueError(f"duplicate problem_id {problem_id!r}")

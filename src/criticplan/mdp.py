@@ -177,8 +177,8 @@ class State:
             return
         kind = self.trajectory[-1].observation.kind
         if len(self.trajectory) % 2:
-            if kind not in SUBGOAL_KINDS:
-                raise ContractViolationError(f"expected a sub-goal observation, got {kind.value}")
+            if not isinstance(self.trajectory[-1], ChooseSubGoal):
+                raise ContractViolationError(f"expected ChooseSubGoal, got a {kind.value} candidate")
         else:
             before = self.trajectory[-2].observation.kind
             if kind is not EXECUTION_FOR.get(before):

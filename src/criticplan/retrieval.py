@@ -9,9 +9,9 @@ document) keys, which yields the postings in row order and their term
 frequencies. Each document sums its contributions in query-term order, as a
 loop over postings would, so scores are bit-identical to the scalar formula.
 The index is immutable after build and persists to a versioned binary format
-(header, JSON metadata line, raw arrays) whose bytes are a pure function of
-the inputs. Ingestion and index-file errors are `IngestionError`s that name
-the file.
+(header, JSON metadata line, raw arrays, texts) whose bytes are a pure function
+of the inputs. A loaded index maps the file and decodes a text when it is read.
+Ingestion and index-file errors are `IngestionError`s that name the file.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import mmap
 import numbers
-import re
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,13 +39,19 @@ from .errors import (
 from .mdp import Observation, ObservationKind
 
 INDEX_MAGIC = "criticplan-bm25-index"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
-_TOKEN = re.compile(r"[a-z0-9]+")
+# Every byte but ASCII [a-z0-9] becomes a space. UTF-8 puts no ASCII byte inside
+# a multi-byte character, so the words left are the text's `[a-z0-9]+` runs.
+_SPACE_OUT = bytes(c if chr(c) in "abcdefghijklmnopqrstuvwxyz0123456789" else 32 for c in range(256))
+
+
+def _words(text: str, errors: str = "surrogatepass") -> list[bytes]:
+    return text.lower().encode("utf-8", errors).translate(_SPACE_OUT).split()
 
 
 def tokenize(text: str) -> list[str]:
-    return _TOKEN.findall(text.lower())
+    return [word.decode("ascii") for word in _words(text)]
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,7 @@ class Corpus:
     corpus_id: str
     params: Bm25Params
     doc_ids: tuple[str, ...]
-    doc_texts: tuple[str, ...]
+    doc_texts: Sequence[str]  # a built corpus's tuple, or a loaded one's `_MappedTexts`
     avgdl: float
     terms: Mapping[str, int]
     offsets: np.ndarray
@@ -109,21 +115,26 @@ def build_index(
     doc_ids: list[str] = []
     doc_texts: list[str] = []
     doc_lengths: list[int] = []
-    term_ids = defaultdict(itertools.count().__next__)  # term -> id in first-seen order
+    term_ids = defaultdict(itertools.count().__next__)  # term bytes -> id in first-seen order
     token_ids = array("q")  # every document's tokens as term ids, in document order
     seen: set[str] = set()
     for doc_id, text in documents:
         if doc_id in seen:
             raise IngestionError(f"duplicate doc_id {doc_id!r}")
         seen.add(doc_id)
-        tokens = tokenize(text)
+        try:  # the index stores both as UTF-8
+            tokens = _words(text, "strict")
+            doc_id.encode("utf-8")
+        except UnicodeEncodeError as err:
+            raise IngestionError(f"doc_id {doc_id!r}: text or id cannot be encoded as "
+                                 f"UTF-8 ({err.reason})") from None
         doc_ids.append(doc_id)
         doc_texts.append(text)
         doc_lengths.append(len(tokens))
         token_ids.extend(map(term_ids.__getitem__, tokens))
     n = len(doc_ids)
     avgdl = sum(doc_lengths) / n if n else 0.0
-    id_terms = list(term_ids)
+    id_terms = [term.decode("ascii") for term in term_ids]
     terms = {term: row for row, term in enumerate(sorted(id_terms))}
     lengths = np.array(doc_lengths, dtype=np.int64)
     # One sort of the (term row, document) keys puts the postings in CSR order,
@@ -196,7 +207,9 @@ def index_bytes(corpus: Corpus) -> bytes:
     """Serialized index; byte-identical for identical inputs.
 
     Layout: the header line, one sorted-key JSON metadata line, then the raw
-    little-endian arrays `<i8` offsets, `<i4` positions and `<f8` scores.
+    little-endian arrays `<i8` offsets, `<i4` positions, `<f8` scores and `<i8`
+    text bounds (one per document, plus one), then the documents' UTF-8 texts
+    concatenated: document p's text is bytes `bounds[p]:bounds[p + 1]` of them.
     """
     terms = sorted(corpus.terms, key=corpus.terms.__getitem__)
     meta = {
@@ -204,25 +217,50 @@ def index_bytes(corpus: Corpus) -> bytes:
         "params": {"k1": corpus.params.k1, "b": corpus.params.b},
         "avgdl": corpus.avgdl,
         "doc_ids": list(corpus.doc_ids),
-        "doc_texts": list(corpus.doc_texts),
         "terms": terms,
         "postings": len(corpus.positions),
     }
     head = f"{INDEX_MAGIC} {INDEX_VERSION}\n" + json.dumps(
         meta, ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n"
+    texts = [text.encode("utf-8") for text in corpus.doc_texts]
     return b"".join((head.encode("utf-8"), corpus.offsets.astype("<i8").tobytes(),
                      corpus.positions.astype("<i4").tobytes(),
-                     corpus.scores.astype("<f8").tobytes()))
+                     corpus.scores.astype("<f8").tobytes(),
+                     np.cumsum([0, *map(len, texts)]).astype("<i8").tobytes(), *texts))
 
 
 def save_index(corpus: Corpus, path) -> None:
     records.write(path, index_bytes(corpus))
 
 
+class _MappedTexts(Sequence[str]):
+    """A loaded index's document texts, each decoded from the map when it is read."""
+
+    def __init__(self, path, bounds: np.ndarray, section: memoryview):
+        self._path, self._bounds, self._section = path, bounds, section
+
+    def __len__(self) -> int:
+        return len(self._bounds) - 1
+
+    def __getitem__(self, index: int) -> str:
+        p = range(len(self))[index]  # an IndexError past the end, as iteration needs
+        lo, hi = self._bounds[p:p + 2].tolist()
+        try:
+            return str(self._section[lo:hi], "utf-8")
+        except UnicodeDecodeError as err:
+            raise IndexFormatError(f"{self._path}: text {p} is not UTF-8: {err}") from None
+
+
 def load_index(path) -> Corpus:
-    """Read a v2 index; any malformed file is an IndexFormatError naming it."""
-    with open(path, "rb") as fh:
-        header, meta_line, arrays = fh.readline().rstrip(b"\n"), fh.readline(), fh.read()
+    """Map a v3 index read-only; any malformed file is an IndexFormatError naming it.
+
+    Replacing the file (as `criticplan index` does) keeps the map valid; rewriting it does not.
+    """
+    with open(path, "rb") as fh:  # an empty file cannot be mapped
+        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if fh.seek(0, 2) else b""
+    head_end = data.find(b"\n") + 1 or len(data)
+    arrays_at = data.find(b"\n", head_end) + 1 or len(data)
+    header = data[:head_end].rstrip(b"\n")
     magic, _, version = header.decode("utf-8", "replace").partition(" ")
     if magic != INDEX_MAGIC:
         raise IndexFormatError(f"{path}: bad magic header {header[:64]!r}")
@@ -232,26 +270,29 @@ def load_index(path) -> Corpus:
             f"version {INDEX_VERSION}; rerun `criticplan index` to rebuild it)"
         )
     try:
-        meta = json.loads(meta_line.decode("utf-8"))
+        meta = json.loads(data[head_end:arrays_at].decode("utf-8"))
         n_offsets, n_postings = len(meta["terms"]) + 1, int(meta["postings"])
-        fields = (meta["corpus_id"], Bm25Params(**meta["params"]), tuple(meta["doc_ids"]),
-                  tuple(meta["doc_texts"]), meta["avgdl"],
-                  {term: row for row, term in enumerate(meta["terms"])})
+        fields = (meta["corpus_id"], Bm25Params(**meta["params"]), tuple(meta["doc_ids"]))
+        avgdl, terms = meta["avgdl"], {term: row for row, term in enumerate(meta["terms"])}
         doc_rank = _ranks(fields[2])
     except (ValueError, KeyError, TypeError, ContractViolationError) as err:
         raise IndexFormatError(f"{path}: bad index metadata: {err!r}") from None
-    if len(fields[3]) != len(doc_rank):
-        raise IndexFormatError(f"{path}: bad index metadata: doc_texts and doc_ids differ")
-    if n_postings < 0 or len(arrays) != 8 * n_offsets + 12 * n_postings:
-        raise IndexFormatError(f"{path}: array section holds {len(arrays)} bytes, expected "
-                               f"{8 * n_offsets + 12 * n_postings} for {n_postings} postings")
-    offsets = np.frombuffer(arrays, "<i8", n_offsets)
-    positions = np.frombuffer(arrays, "<i4", n_postings, 8 * n_offsets)
-    scores = np.frombuffer(arrays, "<f8", n_postings, 8 * n_offsets + 4 * n_postings)
+    bounds_at = arrays_at + 8 * n_offsets + 12 * n_postings
+    texts_at = bounds_at + 8 * (len(doc_rank) + 1)
+    if n_postings < 0 or len(data) < texts_at:
+        raise IndexFormatError(f"{path}: array section holds {len(data) - arrays_at} bytes, at "
+                               f"least {texts_at - arrays_at} expected for {n_postings} postings")
+    offsets = np.frombuffer(data, "<i8", n_offsets, arrays_at)
+    positions = np.frombuffer(data, "<i4", n_postings, arrays_at + 8 * n_offsets)
+    scores = np.frombuffer(data, "<f8", n_postings, arrays_at + 8 * n_offsets + 4 * n_postings)
+    bounds = np.frombuffer(data, "<i8", len(doc_rank) + 1, bounds_at)
+    if bounds[0] != 0 or bounds[-1] != len(data) - texts_at or np.any(np.diff(bounds) < 0):
+        raise IndexFormatError(f"{path}: text bounds do not split the text section's bytes")
     if (offsets[0] != 0 or offsets[-1] != n_postings or np.any(np.diff(offsets) < 0)
             or np.any((positions < 0) | (positions >= len(doc_rank)))):
         raise IndexFormatError(f"{path}: offsets or positions out of range")
-    return Corpus(*fields, offsets, positions, scores, doc_rank)
+    texts = _MappedTexts(path, bounds, memoryview(data)[texts_at:])
+    return Corpus(*fields, texts, avgdl, terms, offsets, positions, scores, doc_rank)
 
 
 # -------------------------------------------------------------------- ingestion

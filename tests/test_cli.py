@@ -39,7 +39,7 @@ from criticplan.generation import HttpGeneratorBackend, SamplingConfig
 from criticplan.mcts import MctsConfig
 from criticplan.mdp import Observation, ObservationKind
 from criticplan.planner import PlannerConfig
-from criticplan.retrieval import Bm25Params
+from criticplan.retrieval import Bm25Params, load_index, retrieve
 from tests._toys import (
     lookup_toy,
     ranking_toy,
@@ -133,17 +133,51 @@ class TestIndexCommand:
         assert result.exit_code != 0
         assert "no documents" in result.output
 
-    def test_duplicate_doc_id_names_corpus(self, runner, tmp_path):
-        config_path = mixed_suite(tmp_path)
-        corpus_path = tmp_path / "docs.jsonl"
-        corpus_path.write_text('{"id": "a", "text": "alpha"}\n{"id": "a", "text": "beta"}\n')
+    @staticmethod
+    def _jsonl_corpus(root, lines: str):
+        """`mixed_suite` indexing `lines` from a JSONL corpus; returns (config, corpus) paths."""
+        config_path = mixed_suite(root)
+        corpus_path = root / "docs.jsonl"
+        corpus_path.write_text(lines)
         config = json.loads(Path(config_path).read_text(encoding="utf-8"))
         config["paths"]["corpus_dir"] = str(corpus_path)
         Path(config_path).write_text(json.dumps(config), encoding="utf-8")
+        return config_path, corpus_path
+
+    def test_duplicate_doc_id_names_corpus(self, runner, tmp_path):
+        config_path, corpus_path = self._jsonl_corpus(
+            tmp_path, '{"id": "a", "text": "alpha"}\n{"id": "a", "text": "beta"}\n')
         result = runner.invoke(main, ["--config", config_path, "index"])
         assert result.exit_code != 0
         assert isinstance(result.exception, IngestionError)
         assert str(result.exception) == f"{corpus_path}: duplicate doc_id 'a'"
+
+    # A lone surrogate used to escape `index_bytes` as a raw UnicodeEncodeError.
+    @pytest.mark.parametrize("line, doc_id", [
+        ('{"id": "a", "text": "alpha \\ud800 beta"}', "'a'"),
+        ('{"id": "a\\udfff", "text": "alpha"}', "'a\\udfff'"),
+    ], ids=["surrogate in text", "surrogate in id"])
+    def test_unencodable_document_names_corpus_and_doc_id(self, runner, tmp_path, line, doc_id):
+        config_path, corpus_path = self._jsonl_corpus(tmp_path, line + "\n")
+        result = runner.invoke(main, ["--config", config_path, "index"])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, IngestionError)
+        assert str(result.exception) == (f"{corpus_path}: doc_id {doc_id}: text or id cannot be "
+                                         "encoded as UTF-8 (surrogates not allowed)")
+        assert not (tmp_path / "out" / "index.bm25").exists()
+
+    def test_loaded_corpus_survives_a_rebuild_of_its_file(self, runner, tmp_path):
+        """`index` replaces the file, so a corpus mapped from the old one keeps its texts."""
+        config_path, corpus_path = self._jsonl_corpus(
+            tmp_path, '{"id": "a", "text": "alpha one"}\n{"id": "b", "text": "beta two"}\n')
+        run_cli(runner, config_path, "index")
+        index_path = tmp_path / "out" / "index.bm25"
+        loaded = load_index(index_path)
+        corpus_path.write_text('{"id": "c", "text": "gamma three, a longer text than before"}\n')
+        assert "index written" in run_cli(runner, config_path, "index").output
+        assert [(o.doc_id, o.text) for o in retrieve(loaded, "alpha beta", 5)] == [
+            ("a", "alpha one"), ("b", "beta two")]
+        assert tuple(load_index(index_path).doc_texts) == ("gamma three, a longer text than before",)
 
 
 SOLVE = "solve --critics constant"

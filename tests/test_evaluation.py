@@ -177,7 +177,7 @@ class TestReports:
     @pytest.mark.parametrize("bad_line, message", [
         ("{not json", "Expecting property name"),
         ('{"problem_id": "p2"}', "missing key 'relevant_doc_ids'"),
-        ('{"problem_id": "p2", "relevant_doc_ids": 5}', "not iterable"),
+        ('{"problem_id": "p2", "relevant_doc_ids": 5}', "must be a list of strings"),
         # A repeated problem used to replace the first line's judgments without a word.
         ('{"problem_id": "p1", "relevant_doc_ids": ["b"]}', "duplicate problem_id 'p1'"),
     ])

@@ -232,8 +232,13 @@ class TestStateInvariants:
             ChooseCandidate(0, rationale("r")),
             ChooseCandidate(0, rationale("again")),
         )
-        with pytest.raises(ContractViolationError, match="expected a sub-goal observation"):
+        with pytest.raises(ContractViolationError, match="expected ChooseSubGoal"):
             State(problem=problem, trajectory=bad)
+
+    def test_candidate_carrying_a_marker_rejected_at_decision_point(self, problem):
+        marker = ChooseSubGoal(SubGoal.REASONING).observation
+        with pytest.raises(ContractViolationError, match="expected ChooseSubGoal, got a reason candidate"):
+            apply(root_state(problem), ChooseCandidate(0, marker))
 
     def test_empty_statement_rejected(self):
         with pytest.raises(ContractViolationError):
@@ -241,11 +246,13 @@ class TestStateInvariants:
 
 
 def _alternates(trajectory) -> bool:
-    """Reference check of a whole trajectory: marker, its execution, marker, ..."""
+    """Reference check of a whole trajectory: a sub-goal choice and its marker, that
+    marker's execution, a sub-goal choice, ..."""
     pending = None
-    for position, obs in enumerate(action.observation for action in trajectory):
+    for position, action in enumerate(trajectory):
+        obs = action.observation
         if position % 2 == 0:
-            if obs.kind not in mdp.SUBGOAL_KINDS:
+            if not isinstance(action, ChooseSubGoal) or obs.kind not in mdp.SUBGOAL_KINDS:
                 return False
             pending = obs.kind
         elif obs.kind is not mdp.EXECUTION_FOR[pending]:
@@ -326,12 +333,14 @@ class TestProperties:
         for state in _walk(steps, horizon=20):
             assert _alternates(state.trajectory)
 
-    @given(legal_walks(), st.sampled_from(_ANY_OBSERVATION))
+    @given(legal_walks(), st.sampled_from(
+        [ChooseSubGoal(goal) for goal in SubGoal]
+        + [ChooseCandidate(0, obs) for obs in _ANY_OBSERVATION]))
     @settings(max_examples=200, deadline=None)
-    def test_tail_check_agrees_with_full_walk(self, steps, obs):
-        """Extending a reached state by any observation is accepted iff the full walk accepts it."""
+    def test_tail_check_agrees_with_full_walk(self, steps, action):
+        """Extending a reached state by any action is accepted iff the full walk accepts it."""
         state = _walk(steps, horizon=20)[-1]
-        trajectory = state.trajectory + (ChooseCandidate(0, obs),)
+        trajectory = state.trajectory + (action,)
         try:
             State(state.problem, trajectory, state.horizon)
         except ContractViolationError:

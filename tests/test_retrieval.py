@@ -106,6 +106,11 @@ class TestRetrieve:
         with pytest.raises(EmptyQueryError):
             retrieve(corpus, "...!!!", 3)
 
+    def test_query_with_lone_surrogate_retrieves(self):
+        corpus = build_index(THREE_DOCS)
+        assert tokenize("cat\ud800sat") == ["cat", "sat"]
+        assert [obs.doc_id for obs in retrieve(corpus, "cat \udfff", 3)] == ["d2", "d0"]
+
     def test_tie_break_ascending_doc_id(self):
         corpus = build_index([("b", "term"), ("a", "term")])
         assert [obs.doc_id for obs in retrieve(corpus, "term", 2)] == ["a", "b"]
@@ -168,6 +173,12 @@ class TestPersistence:
         loaded = load_index(path)
         assert loaded.doc_ids == corpus.doc_ids
         assert score_query(loaded, "cat") == score_query(corpus, "cat")
+        # Texts are decoded as they are read, and the arrays are read-only views of the map.
+        assert tuple(loaded.doc_texts) == corpus.doc_texts
+        assert loaded.doc_texts[-1] == "cat cat cat" and len(loaded.doc_texts) == 3
+        with pytest.raises(IndexError):
+            loaded.doc_texts[3]
+        assert not loaded.scores.flags.writeable
 
     def test_rebuild_is_byte_identical(self):
         first = index_bytes(build_index(THREE_DOCS))
@@ -198,6 +209,20 @@ class TestPersistence:
         assert str(path) in str(excinfo.value)
         assert "criticplan index" in str(excinfo.value)
 
+    def test_v2_index_rejected_with_rebuild_hint(self, tmp_path):
+        """Version 2 kept the texts in the metadata line and ended after the scores."""
+        _, meta_line, arrays = index_bytes(build_index(THREE_DOCS)).split(b"\n", 2)
+        meta = json.loads(meta_line)
+        meta["doc_texts"] = [text for _, text in THREE_DOCS]
+        arrays = arrays[:8 * (len(meta["terms"]) + 1) + 12 * meta["postings"]]
+        path = tmp_path / "corpus.bm25"
+        path.write_bytes(b"criticplan-bm25-index 2\n"
+                         + json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n" + arrays)
+        with pytest.raises(IndexFormatError) as excinfo:
+            load_index(path)
+        assert str(path) in str(excinfo.value)
+        assert "criticplan index" in str(excinfo.value)
+
 
 def _edit_meta(edit):
     def splice(header, meta_line, arrays):
@@ -220,6 +245,19 @@ def _edit_arrays(edit):
     return splice
 
 
+def _edit_texts(edit):
+    """Apply `edit(bounds, texts)` to writable copies of the text bounds and bytes."""
+    def splice(header, meta_line, arrays):
+        meta = json.loads(meta_line)
+        at = 8 * (len(meta["terms"]) + 1) + 12 * meta["postings"]
+        n_bounds = len(meta["doc_ids"]) + 1
+        bounds = np.frombuffer(arrays, "<i8", n_bounds, at).copy()
+        texts = bytearray(arrays[at + 8 * n_bounds:])
+        edit(bounds, texts)
+        return header, meta_line, arrays[:at] + bounds.tobytes() + bytes(texts)
+    return splice
+
+
 def _set(array, index, value):
     array[index] = value
 
@@ -230,7 +268,9 @@ MALFORMED_INDEXES = {
     "non-utf8 metadata": (lambda h, m, a: (h, m.replace(b'"d0"', b'"d\xff"'), a), "metadata"),
     "bad metadata json": (lambda h, m, a: (h, m[:-1], a), "metadata"),
     "missing metadata key": (_edit_meta(lambda meta: meta.pop("doc_ids")), "metadata"),
-    "doc_texts short": (_edit_meta(lambda meta: meta["doc_texts"].pop()), "metadata"),
+    "text bounds not monotone": (_edit_texts(lambda b, t: _set(b, 1, b[2] + 1)), "text bounds"),
+    "text bounds end short": (_edit_texts(lambda b, t: _set(b, -1, b[-1] - 1)), "text bounds"),
+    "non-utf8 text": (_edit_texts(lambda b, t: _set(t, 0, 0xFF)), "text 0 is not UTF-8"),
     "non-number param": (_edit_meta(lambda meta: meta["params"].update(k1="1.2")), "metadata"),
     "truncated arrays": (lambda h, m, a: (h, m, a[:-3]), "bytes"),
     "posting count mismatch": (
@@ -249,7 +289,7 @@ def test_malformed_index_is_format_error_naming_file(tmp_path, case):
     path = tmp_path / "corpus.bm25"
     path.write_bytes(header + b"\n" + meta_line + b"\n" + arrays)
     with pytest.raises(IndexFormatError) as excinfo:
-        load_index(path)
+        tuple(load_index(path).doc_texts)  # a text is checked when it is read
     message = str(excinfo.value)
     assert str(path) in message
     assert expected in message.replace(str(path), "")

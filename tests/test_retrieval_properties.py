@@ -5,11 +5,13 @@ one posting at a time. The eager index performs the same floating-point
 operations in the same order, so scores must be equal with `==`, not within a
 tolerance. `counter_build_index` is the per-document `Counter` builder that
 the one-sort integer builder replaced; both must serialize to the same bytes.
+The byte-translation tokenizer must split as the `[a-z0-9]+` regex it replaced.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -127,6 +129,19 @@ mixed_texts = st.lists(st.tuples(st.sampled_from(PIECES), st.sampled_from(SEPARA
                        max_size=16).map(lambda pairs: "".join(p + s for p, s in pairs))
 
 
+# Any code point, surrogates included, mixed with characters that lowercasing
+# turns into (or next to) ASCII word characters.
+any_texts = st.lists(st.characters(exclude_categories=()) | st.sampled_from(PIECES + SEPARATORS),
+                     max_size=24).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(any_texts)
+@example("a\x00b \u212aelvin \u0130stanbul \ud800x\udfffy \uff21\u00e9t\u00e9 \U0001f600z9")
+def test_tokenize_equals_regex(text):
+    assert tokenize(text) == re.findall(r"[a-z0-9]+", text.lower())
+
+
 @st.composite
 def tied_corpora(draw):
     """Many documents with one identical text, shuffled doc_ids, plus others."""
@@ -176,7 +191,7 @@ def test_save_load_round_trip_is_identical(documents, query, params):
         save_index(corpus, path)
         loaded = load_index(path)
     assert index_bytes(loaded) == index_bytes(corpus)
-    assert loaded.doc_ids == corpus.doc_ids and loaded.doc_texts == corpus.doc_texts
+    assert loaded.doc_ids == corpus.doc_ids and tuple(loaded.doc_texts) == corpus.doc_texts
     assert score_query(loaded, query) == score_query(corpus, query)
     assert _hits(loaded, query, 10) == _hits(corpus, query, 10)
 
