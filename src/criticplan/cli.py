@@ -32,9 +32,6 @@ def _echo_config(config: EngineConfig) -> None:
 
 def load_problems(path) -> list[ProblemInstance]:
     """Read {problem_id, statement, gold_label, task_kind} records with unique ids."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"problems file not found: {path}")
     seen: set[str] = set()
 
     def parse(record: dict) -> ProblemInstance:
@@ -71,9 +68,7 @@ def _generator_from_config(config: EngineConfig) -> generation.GeneratorBackend:
         if "url" not in spec:
             raise ConfigurationError("generator.url is required for an http generator")
         return generation.HttpGeneratorBackend(
-            base_url=spec["url"],
-            **{"seed": config.seed, **_present(spec, "timeout", "retries", "seed")},
-        )
+            base_url=spec["url"], seed=config.seed, **_present(spec, "timeout", "retries"))
     raise ConfigurationError(f"unknown generator type {kind!r}")
 
 
@@ -160,7 +155,7 @@ def _exit_if_failed(batch) -> None:
 @click.group()
 @click.option("--config", "config_path", required=True, type=click.Path(), help="Engine config file.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--parallel", type=int, default=1, show_default=True, help="Worker count for batch commands.")
+@click.option("--parallel", type=click.IntRange(min=1), default=1, show_default=True, help="Worker count for batch commands.")
 @click.option("--verbose", is_flag=True, help="Enable debug logging.")
 @click.pass_context
 def main(ctx: click.Context, config_path: str, seed: int | None, parallel: int, verbose: bool):
@@ -170,7 +165,7 @@ def main(ctx: click.Context, config_path: str, seed: int | None, parallel: int, 
     config = load_engine_config(config_path)
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
-    ctx.obj = {"config": config, "parallel": max(1, parallel)}
+    ctx.obj = {"config": config, "parallel": parallel}
 
 
 @main.command()
@@ -196,12 +191,8 @@ def index(ctx: click.Context):
     except IngestionError as err:
         raise IngestionError(f"{corpus_dir}: {err}") from err
     index_path = config.path("index_path")
-    new_bytes = retrieval.index_bytes(corpus)
-    if records.read_existing(index_path) == new_bytes:
-        click.echo(f"index up to date: {index_path}")
-    else:
-        records.write(index_path, new_bytes)
-        click.echo(f"index written: {index_path}")
+    retrieval.save_index(corpus, index_path)
+    click.echo(f"index written: {index_path}")
     click.echo(f"documents: {len(corpus)}")
     click.echo(f"average_length: {corpus.avgdl:.6f}")
 
@@ -338,16 +329,12 @@ def _result_record(problem: ProblemInstance, result) -> dict:
 
 
 @main.command("eval")
-@click.option("--results", "results_path", type=click.Path(), default=None,
-              help="Results file (defaults to paths.output_dir/results.jsonl).")
-@click.option("--judgments", "judgments_path", type=click.Path(), default=None,
-              help="Relevance judgments for ranking tasks (defaults to paths.judgments_file).")
 @click.pass_context
-def eval_cmd(ctx: click.Context, results_path: str | None, judgments_path: str | None):
+def eval_cmd(ctx: click.Context):
     """Score solve results: accuracy for answer tasks, nDCG@10 for ranking tasks."""
     config: EngineConfig = ctx.obj["config"]
     _echo_config(config)
-    results_file = Path(results_path) if results_path else config.path("output_dir") / "results.jsonl"
+    results_file = config.path("output_dir") / "results.jsonl"
     if not results_file.exists():
         raise click.ClickException(
             f"results file not found: {results_file} (produce it with `criticplan solve`)"
@@ -398,7 +385,7 @@ def eval_cmd(ctx: click.Context, results_path: str | None, judgments_path: str |
         answer_report = evaluation.accuracy(answer_rows, checker)
         click.echo(f"accuracy: {answer_report.accuracy:.6f}")
     if ranking_rows:
-        source = judgments_path or config.paths.get("judgments_file")
+        source = config.paths.get("judgments_file")
         if not source or not Path(source).exists():
             raise click.ClickException(
                 f"judgments file not found: {source} (set paths.judgments_file)"

@@ -31,7 +31,7 @@ _SCHEMA: dict[str, set[str] | None] = {
         "corpus_dir", "index_path", "pairs_dir", "critics_dir",
         "problems_file", "output_dir", "judgments_file",
     },
-    "generator": {"type", "path", "url", "timeout", "retries", "seed"},
+    "generator": {"type", "path", "url", "timeout", "retries"},
     "critics": {"type", "url", "timeout", "dim"},
     "oracle": {"type", "command", "timeout"},
     "answer_detector": {"type", "sentinel", "pattern"},
@@ -89,11 +89,22 @@ class EngineConfig:
             if isinstance(value, bool) or not isinstance(value, expected):
                 raise ConfigurationError(
                     f"{section}.{name} must be a {type(default).__name__}, got {value!r}")
-        # An HTTP generator is always sent a seed: generator.seed, else seed.
-        seed = self.generator.get("seed", self.seed)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            key = "generator.seed" if "seed" in self.generator else "seed"
-            raise ConfigurationError(f"{key} must be an int, got {seed!r}")
+        # The keys no owner types name paths, types, URLs and patterns: strings.
+        # A checker's command is a non-empty list of strings.
+        typed = {key[:2] for key in _TYPED_KEYS}
+        for section, names in _SCHEMA.items():
+            for name in sorted(names or ()):
+                if (section, name) in typed or name not in getattr(self, section):
+                    continue
+                value = getattr(self, section)[name]
+                items = value if name == "command" else [value]
+                if not (isinstance(items, list) and items
+                        and all(isinstance(item, str) for item in items)):
+                    kind = "a non-empty list of strings" if name == "command" else "a string"
+                    raise ConfigurationError(f"{section}.{name} must be {kind}, got {value!r}")
+        # It is also the seed an HTTP generator is sent.
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ConfigurationError(f"seed must be an int, got {self.seed!r}")
         # Build what needs no files now, so a bad value fails at load.
         self.mcts_config()
         self.planner_config()

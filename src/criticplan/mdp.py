@@ -313,11 +313,11 @@ def answer_detector_from_spec(spec: dict) -> AnswerDetector:
         return SentinelAnswerDetector()
     if kind == "regex":
         if "pattern" not in spec:
-            raise ContractViolationError("regex answer detector requires 'pattern'")
+            raise ConfigurationError("answer_detector.pattern is required for a regex detector")
         return RegexAnswerDetector(pattern=spec["pattern"])
     if kind == "never":
         return NEVER_DETECT
-    raise ContractViolationError(f"unknown answer detector type {kind!r}")
+    raise ConfigurationError(f"unknown answer_detector.type {kind!r}")
 
 
 def is_terminal(state: State, detector: AnswerDetector) -> bool:

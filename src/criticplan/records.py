@@ -4,8 +4,9 @@ Files the engine writes start with a header line `{"format", "version", ...,
 "generated_at"}`, the only line that carries a timestamp. A single-object file
 (a critic or a scripted generator) holds `format` and `version` in the object
 itself. A malformed file raises the caller's error type with the text
-`path:line: reason`, or `path: reason` for a single-object file. Every output
-file is written by `write`, which replaces it atomically.
+`path:line: reason`, or `path: reason` for a single-object file or one that
+cannot be opened. Every output file is written by `write`, which replaces it
+atomically.
 """
 
 from __future__ import annotations
@@ -61,20 +62,6 @@ def write(path, data: str | bytes) -> None:
         raise OutputError(f"{path}: {err}") from err
 
 
-def read_existing(path) -> bytes | None:
-    """The bytes of an output file about to be replaced, or None if it is absent.
-
-    Any other OSError (the path is a directory, say) is raised again as an
-    OutputError whose message starts with `path`.
-    """
-    try:
-        return Path(path).read_bytes()
-    except FileNotFoundError:
-        return None
-    except OSError as err:
-        raise OutputError(f"{path}: {err}") from err
-
-
 def read(path, parse, error, header: tuple[str, int] | None = None) -> list:
     """`parse` of each record of a line-delimited file; blank lines are skipped.
 
@@ -85,7 +72,7 @@ def read(path, parse, error, header: tuple[str, int] | None = None) -> list:
     reported at its line.
     """
     parsed = []
-    with open(path, "rb") as fh:
+    with _open(path, error) as fh:
         for number, line in enumerate(fh, start=1):
             if number == 1 and header is not None:
                 _decode(line, dict, error, f"{path}:1", header)
@@ -103,7 +90,16 @@ def strings(value, what: str) -> list[str]:
 
 def read_document(path, parse, error, header: tuple[str, int]):
     """`parse` of a single-object file whose `format` and `version` match `header`."""
-    return _decode(Path(path).read_bytes(), parse, error, str(path), header)
+    with _open(path, error) as fh:
+        return _decode(fh.read(), parse, error, str(path), header)
+
+
+def _open(path, error):
+    """`path` opened for reading bytes; an OSError is raised again as `error` naming it."""
+    try:
+        return open(path, "rb")
+    except OSError as err:
+        raise error(f"{path}: {err}") from err
 
 
 def _decode(raw: bytes, parse, error, where: str, header: tuple[str, int] | None = None):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import inspect
 import json
 import os
@@ -105,12 +106,11 @@ class TestIndexCommand:
         assert "average_length:" in result.output
         assert (tmp_path / "out" / "index.bm25").exists()
 
-    def test_rerun_is_up_to_date(self, runner, tmp_path):
+    def test_rerun_writes_the_same_bytes(self, runner, tmp_path):
         config = mixed_suite(tmp_path)
         run_cli(runner, config, "index")
         before = (tmp_path / "out" / "index.bm25").read_bytes()
-        result = run_cli(runner, config, "index")
-        assert "up to date" in result.output
+        run_cli(runner, config, "index")
         assert (tmp_path / "out" / "index.bm25").read_bytes() == before
 
     def test_thirty_file_corpus(self, runner, tmp_path):
@@ -206,7 +206,7 @@ class TestOutputFiles:
             run_cli(runner, config, *command.split())
         target = tmp_path / relative
         before = target.read_bytes()
-        # New text makes `index` rewrite the index; every other output is rewritten anyway.
+        # New text changes the index too, so a kept file is the previous one.
         (tmp_path / "corpus" / "extra.txt").write_text("new words " * 500, encoding="utf-8")
         if fault == "rename fails":
             replace = os.replace
@@ -238,9 +238,7 @@ class TestOutputFiles:
         assert target.read_bytes() == before
         assert not list(target.parent.glob(".*.tmp"))
 
-    # A directory where the output file goes. The results file and a pair
-    # file are only written; the index is read (its up-to-date check) before
-    # it is replaced.
+    # A directory where the output file goes: its write fails and names it.
     @pytest.mark.parametrize("relative, commands", [
         ("out/results.jsonl", ["index", SOLVE]),
         ("out/index.bm25", ["index"]),
@@ -309,6 +307,10 @@ class TestConfig:
         ("critics", "dim", "4096"),
         ("oracle", "timeout", "60"),
         ("answer_detector", "sentinel", 7),
+        ("paths", "output_dir", 5),
+        ("generator", "path", 5),
+        ("critics", "url", 5),
+        ("oracle", "command", ["true", 5]),
     ])
     def test_wrong_typed_value_names_config_key(self, tmp_path, section, key, value):
         config_path = tmp_path / "config.json"
@@ -320,12 +322,24 @@ class TestConfig:
         ("answer_detector.pattern", {"answer_detector": {"type": "regex", "pattern": "("}}),
         ("answer_detector.pattern", {"answer_detector": {"type": "regex", "pattern": 5}}),
         ("generator.retries", {"generator": {"retries": -1}}),
+        ("answer_detector.type", {"answer_detector": {"type": "nope"}}),
+        ("answer_detector.pattern", {"answer_detector": {"type": "regex"}}),
     ])
     def test_invalid_value_names_config_key_at_load(self, tmp_path, key, config):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         with pytest.raises(ConfigurationError, match=key):
             load_engine_config(config_path, environ={})
+
+    def test_run_seed_is_the_http_generator_seed(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        endpoint = {"type": "http", "url": "http://127.0.0.1:1/"}
+        config_path.write_text(json.dumps({"generator": {**endpoint, "seed": 3}}))
+        with pytest.raises(ConfigurationError, match="generator.'seed'"):
+            load_engine_config(config_path, environ={})
+        config_path.write_text(json.dumps({"generator": endpoint, "seed": 3}))
+        config = dataclasses.replace(load_engine_config(config_path, environ={}), seed=9)
+        assert cli._generator_from_config(config).seed == 9
 
     def test_empty_config_builds_owner_defaults(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -432,6 +446,22 @@ class TestLoadProblems:
                                       "--problems", str(tmp_path / "problems.jsonl")])
         assert result.exit_code == 2
         assert "No such option" in result.output and "--problems" in result.output
+
+    @pytest.mark.parametrize("option", ["--results", "--judgments"])
+    def test_eval_reads_only_config_paths(self, runner, tmp_path, option):
+        toy = reasoning_toy(1)
+        config = write_workspace(tmp_path, toy.problems, toy.sample_rules, toy.conclude_rules)
+        result = runner.invoke(main, ["--config", config, "eval", option, str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and option in result.output
+
+    def test_parallel_below_one_is_a_usage_error(self, runner, tmp_path):
+        toy = reasoning_toy(1)
+        config = write_workspace(tmp_path, toy.problems, toy.sample_rules, toy.conclude_rules)
+        result = runner.invoke(main, ["--config", config, "--parallel", "0", "collect"])
+        assert result.exit_code == 2
+        assert "--parallel" in result.output
+        assert not (tmp_path / "pairs").exists()
 
 
 def test_readme_pipeline_names_every_command():

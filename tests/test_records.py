@@ -94,13 +94,13 @@ def test_export_then_import_gives_equal_pairs(pairs):
 
 
 def _eval_results(path: Path):
-    """`criticplan eval` of a results file, for a problem set holding p1."""
+    """`criticplan eval` of `path`, a results.jsonl, for a problem set holding p1."""
     problems = path.parent / "problems.jsonl"
     problems.write_text('{"problem_id": "p1", "statement": "s", "gold_label": "x"}\n')
     config = path.parent / "config.json"
     config.write_text(json.dumps({"paths": {"problems_file": str(problems),
-                                            "output_dir": str(path.parent / "out")}}))
-    result = CliRunner().invoke(main, ["--config", str(config), "eval", "--results", str(path)])
+                                            "output_dir": str(path.parent)}}))
+    result = CliRunner().invoke(main, ["--config", str(config), "eval"])
     if result.exception is not None:
         raise result.exception
     return result.output
@@ -160,7 +160,7 @@ def _malformed_files():
 
 @pytest.mark.parametrize("name, text, where", list(_malformed_files()))
 def test_malformed_file_error_names_path_and_line(tmp_path, name, text, where):
-    path = tmp_path / "input"
+    path = tmp_path / "results.jsonl"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(CriticPlanError) as err:
         LOADERS[name](path)
@@ -175,7 +175,7 @@ def test_non_utf8_line_names_path_and_line(tmp_path, name, bad_line):
     lines = [(header or good).encode(), b"", good.encode()]
     # A UTF-16 byte-order mark: what a file saved as UTF-16 starts with.
     lines[bad_line - 1] = b"\xff\xfe" + lines[bad_line - 1]
-    path = tmp_path / "input"
+    path = tmp_path / "results.jsonl"
     path.write_bytes(b"\n".join(lines) + b"\n")
     with pytest.raises(CriticPlanError) as err:
         LOADERS[name](path)
@@ -189,6 +189,15 @@ def test_non_utf8_document_names_path(tmp_path, name):
     with pytest.raises(CriticPlanError) as err:
         LOADERS[name](path)
     assert f"{path}: 'utf-8' codec can't decode" in str(err.value)
+
+
+@pytest.mark.parametrize("name", list(LOADERS))
+def test_directory_in_place_of_a_file_names_it(tmp_path, name):
+    path = tmp_path / "results.jsonl"
+    path.mkdir()
+    with pytest.raises(CriticPlanError) as err:
+        LOADERS[name](path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("name", list(DOCUMENT_FILES))
