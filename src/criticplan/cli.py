@@ -54,36 +54,33 @@ def _present(spec: dict, *keys: str) -> dict:
     return {key: spec[key] for key in keys if key in spec}
 
 
+def _made_by(path: Path, command: str) -> Path:
+    """`path`, which `criticplan <command>` writes; a ConfigurationError saying so if missing."""
+    if not path.exists():
+        raise ConfigurationError(f"{path}: not found (produce it with `criticplan {command}`)")
+    return path
+
+
 def _generator_from_config(config: EngineConfig) -> generation.GeneratorBackend:
     spec = config.generator
-    kind = spec.get("type", "scripted")
-    if kind == "scripted":
-        path = spec.get("path")
-        if not path or not Path(path).exists():
-            raise ConfigurationError(
-                f"scripted generator file not found: {path!r} (set generator.path)"
-            )
-        return generation.ScriptedBackend.from_file(path)
-    if kind == "http":
-        if "url" not in spec:
-            raise ConfigurationError("generator.url is required for an http generator")
-        return generation.HttpGeneratorBackend(
-            base_url=spec["url"], seed=config.seed, **_present(spec, "timeout", "retries"))
-    raise ConfigurationError(f"unknown generator type {kind!r}")
+    if spec.get("type", "scripted") == "scripted":
+        if "path" not in spec:
+            raise ConfigurationError("generator.path is required for a scripted generator")
+        return generation.ScriptedBackend.from_file(spec["path"])
+    if "url" not in spec:
+        raise ConfigurationError("generator.url is required for an http generator")
+    return generation.HttpGeneratorBackend(
+        base_url=spec["url"], seed=config.seed, **_present(spec, "timeout", "retries"))
 
 
 def _checker_from_spec(spec: dict, section: str) -> evaluation.AnswerChecker:
     """Answer checker for the `oracle` (MCTS reward) or `checker` (eval) section."""
-    kind = spec.get("type", "exact_match")
-    if kind == "exact_match":
+    if spec.get("type", "exact_match") == "exact_match":
         return evaluation.NormalizedExactMatchChecker()
-    if kind == "command":
-        command = spec.get("command")
-        if not isinstance(command, list) or not command:
-            raise ConfigurationError(f"{section}.command must be a non-empty list: {command!r}")
-        options = _present(spec, "timeout")
-        return evaluation.ExternalCommandChecker(command=tuple(command), **options)
-    raise ConfigurationError(f"unknown {section} type {kind!r}")
+    command = spec.get("command")
+    if not isinstance(command, list) or not command:
+        raise ConfigurationError(f"{section}.command must be a non-empty list: {command!r}")
+    return evaluation.ExternalCommandChecker(command=tuple(command), **_present(spec, "timeout"))
 
 
 def _critics_from_config(config: EngineConfig, mode: str | None = None):
@@ -97,32 +94,20 @@ def _critics_from_config(config: EngineConfig, mode: str | None = None):
             base_url=config.critics["url"], **_present(config.critics, "timeout")
         )
         return {k: backend for k in CriticKind}
-    if kind == "trained":
-        critics_dir = config.path("critics_dir")
-        loaded = {}
-        for critic_kind in CriticKind:
-            path = critics_dir / f"critic_{critic_kind.value}.json"
-            if not path.exists():
-                raise ConfigurationError(
-                    f"critic file not found: {path} (produce it with "
-                    f"`criticplan train-critic {critic_kind.value}`)"
-                )
-            critic = loaded[critic_kind] = LinearCritic.load(path)
-            if critic.kind is not critic_kind:
-                raise ConfigurationError(f"{path}: holds a {critic.kind.value} critic")
-        return loaded
-    raise ConfigurationError(f"unknown critics type {kind!r}")
+    loaded = {}
+    for critic_kind in CriticKind:
+        path = _made_by(config.path("critics_dir") / f"critic_{critic_kind.value}.json",
+                        f"train-critic {critic_kind.value}")
+        critic = loaded[critic_kind] = LinearCritic.load(path)
+        if critic.kind is not critic_kind:
+            raise ConfigurationError(f"{path}: holds a {critic.kind.value} critic")
+    return loaded
 
 
 def _load_corpus(config: EngineConfig) -> retrieval.Corpus | None:
     if "index_path" not in config.paths:
         return None
-    index_path = config.path("index_path")
-    if not index_path.exists():
-        raise ConfigurationError(
-            f"index file not found: {index_path} (produce it with `criticplan index`)"
-        )
-    return retrieval.load_index(index_path)
+    return retrieval.load_index(_made_by(config.path("index_path"), "index"))
 
 
 def _run_batch(ctx: click.Context, problems, run_one) -> list[tuple[ProblemInstance, object]]:
@@ -238,14 +223,13 @@ def train_critic(ctx: click.Context, kind: str):
     config: EngineConfig = ctx.obj["config"]
     _echo_config(config)
     critic_kind = CriticKind(kind)
-    pairs_path = config.path("pairs_dir") / pairs_filename(critic_kind)
-    if not pairs_path.exists():
-        raise click.ClickException(
-            f"pair file not found: {pairs_path} (produce it with `criticplan collect`)"
-        )
+    pairs_path = _made_by(config.path("pairs_dir") / pairs_filename(critic_kind), "collect")
     pairs = import_pairs(pairs_path)
     if not pairs:
         raise click.ClickException(f"{pairs_path} contains no pairs")
+    stray = next((pair for pair in pairs if pair.kind is not critic_kind), None)
+    if stray is not None:
+        raise ConfigurationError(f"{pairs_path}: holds a {stray.kind.value} pair")
     critic = critics_mod.train_reference_critic(
         pairs,
         featurizer_spec=critics_mod.FeaturizerSpec(**_present(config.critics, "dim")),
@@ -334,11 +318,7 @@ def eval_cmd(ctx: click.Context):
     """Score solve results: accuracy for answer tasks, nDCG@10 for ranking tasks."""
     config: EngineConfig = ctx.obj["config"]
     _echo_config(config)
-    results_file = config.path("output_dir") / "results.jsonl"
-    if not results_file.exists():
-        raise click.ClickException(
-            f"results file not found: {results_file} (produce it with `criticplan solve`)"
-        )
+    results_file = _made_by(config.path("output_dir") / "results.jsonl", "solve")
     problems = {p.problem_id: p for p in load_problems(config.path("problems_file"))}
 
     # A failed problem's record carries an `error`: a wrong answer, an empty ranking.
@@ -385,12 +365,7 @@ def eval_cmd(ctx: click.Context):
         answer_report = evaluation.accuracy(answer_rows, checker)
         click.echo(f"accuracy: {answer_report.accuracy:.6f}")
     if ranking_rows:
-        source = config.paths.get("judgments_file")
-        if not source or not Path(source).exists():
-            raise click.ClickException(
-                f"judgments file not found: {source} (set paths.judgments_file)"
-            )
-        judgments = evaluation.load_judgments(source)
+        judgments = evaluation.load_judgments(config.path("judgments_file"))
         ranking_mean, per_problem = evaluation.ranking_report(ranking_rows, judgments)
         click.echo(f"mean nDCG@10: {ranking_mean:.6f}")
 

@@ -8,11 +8,11 @@ replaces critics.url.
 from __future__ import annotations
 
 import inspect
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import records
 from .critics import FeaturizerSpec, HttpCritic, train_reference_critic
 from .errors import ConfigurationError
 from .evaluation import ExternalCommandChecker
@@ -42,6 +42,15 @@ _SCHEMA: dict[str, set[str] | None] = {
     "training": {"epochs", "learning_rate"},
     "checker": {"type", "command", "timeout"},
     "seed": None,
+}
+
+# The `type` values each factory builds, its default first. An answer detector's
+# type is checked when the detector is built.
+_TYPES = {
+    "generator": ("scripted", "http"),
+    "critics": ("trained", "constant", "http"),
+    "oracle": ("exact_match", "command"),
+    "checker": ("exact_match", "command"),
 }
 
 # (section, key, default) for each key a section passes by keyword to its
@@ -102,6 +111,11 @@ class EngineConfig:
                         and all(isinstance(item, str) for item in items)):
                     kind = "a non-empty list of strings" if name == "command" else "a string"
                     raise ConfigurationError(f"{section}.{name} must be {kind}, got {value!r}")
+        for section, known in _TYPES.items():
+            kind = getattr(self, section).get("type", known[0])
+            if kind not in known:
+                raise ConfigurationError(
+                    f"{section}.type must be one of {', '.join(known)}, got {kind!r}")
         # It is also the seed an HTTP generator is sent.
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigurationError(f"seed must be an int, got {self.seed!r}")
@@ -130,14 +144,7 @@ class EngineConfig:
 
 def load_engine_config(path, environ: dict | None = None) -> EngineConfig:
     environ = os.environ if environ is None else environ
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}")
-    except ValueError as err:
-        raise ConfigurationError(f"{path}: invalid JSON: {err}")
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{path}: config must be a JSON object")
+    data = records.read_document(path, dict, ConfigurationError)
     for key, value in data.items():
         if key not in _SCHEMA:
             raise ConfigurationError(f"{path}: unknown config key {key!r}")

@@ -38,7 +38,7 @@ class IngestionError(CriticPlanError):
 
 
 class IndexFormatError(IngestionError):
-    """A persisted index file has a bad magic header or version."""
+    """A persisted index file cannot be opened or is malformed."""
 
 
 class ConfigurationError(CriticPlanError):

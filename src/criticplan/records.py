@@ -5,8 +5,8 @@ Files the engine writes start with a header line `{"format", "version", ...,
 (a critic or a scripted generator) holds `format` and `version` in the object
 itself. A malformed file raises the caller's error type with the text
 `path:line: reason`, or `path: reason` for a single-object file or one that
-cannot be opened. Every output file is written by `write`, which replaces it
-atomically.
+cannot be opened. Every input file is opened by `open_input`, and every output
+file is written by `write`, which replaces it atomically.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def read(path, parse, error, header: tuple[str, int] | None = None) -> list:
     reported at its line.
     """
     parsed = []
-    with _open(path, error) as fh:
+    with open_input(path, error) as fh:
         for number, line in enumerate(fh, start=1):
             if number == 1 and header is not None:
                 _decode(line, dict, error, f"{path}:1", header)
@@ -88,13 +88,13 @@ def strings(value, what: str) -> list[str]:
     return value
 
 
-def read_document(path, parse, error, header: tuple[str, int]):
-    """`parse` of a single-object file whose `format` and `version` match `header`."""
-    with _open(path, error) as fh:
+def read_document(path, parse, error, header: tuple[str, int] | None = None):
+    """`parse` of a single-object file; with `header`, its `format` and `version` must match."""
+    with open_input(path, error) as fh:
         return _decode(fh.read(), parse, error, str(path), header)
 
 
-def _open(path, error):
+def open_input(path, error):
     """`path` opened for reading bytes; an OSError is raised again as `error` naming it."""
     try:
         return open(path, "rb")

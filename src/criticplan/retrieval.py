@@ -16,6 +16,7 @@ Ingestion and index-file errors are `IngestionError`s that name the file.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -256,7 +257,7 @@ def load_index(path) -> Corpus:
 
     Replacing the file (as `criticplan index` does) keeps the map valid; rewriting it does not.
     """
-    with open(path, "rb") as fh:  # an empty file cannot be mapped
+    with records.open_input(path, IndexFormatError) as fh:  # an empty file cannot be mapped
         data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if fh.seek(0, 2) else b""
     head_end = data.find(b"\n") + 1 or len(data)
     arrays_at = data.find(b"\n", head_end) + 1 or len(data)
@@ -305,11 +306,11 @@ def ingest_directory(directory) -> list[tuple[str, str]]:
         raise IngestionError(f"{directory}: not a directory")
     documents = []
     for path in sorted(root.rglob("*.txt")):
-        try:
-            text = path.read_text(encoding="utf-8")
+        try:  # text mode: "\r\n" and "\r" read as "\n"
+            with io.TextIOWrapper(records.open_input(path, IngestionError), "utf-8") as fh:
+                documents.append((path.relative_to(root).as_posix(), fh.read()))
         except UnicodeDecodeError as err:
             raise IngestionError(f"{path}: {err}") from err
-        documents.append((path.relative_to(root).as_posix(), text))
     return documents
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import json
 import os
+import shutil
 import sys
 import threading
 import zlib
@@ -26,6 +27,8 @@ from criticplan.critics import (
     HashedTextFeaturizer,
     HttpCritic,
     LinearCritic,
+    PreferencePair,
+    export_pairs,
     train_reference_critic,
 )
 from criticplan.errors import (
@@ -195,6 +198,56 @@ OUTPUTS = {
 }
 
 
+class TestInputFiles:
+    """Every input that cannot be opened is a CriticPlanError that starts with its path."""
+
+    @pytest.mark.parametrize("name, command", [
+        ("config.d", "index"), ("out/index.bm25", SOLVE), ("corpus/sub.txt", "index"),
+    ], ids=["config", "index", "corpus file"])
+    def test_directory_in_place_of_an_input_names_it(self, runner, tmp_path, name, command):
+        config = mixed_suite(tmp_path)
+        directory = tmp_path / name
+        directory.mkdir(parents=True)
+        config = directory if name == "config.d" else config
+        result = runner.invoke(main, ["--config", str(config), *command.split()])
+        assert isinstance(result.exception, CriticPlanError)
+        assert str(result.exception).startswith(f"{directory}: ")
+
+    # A missing file that a command writes names that command too.
+    @pytest.mark.parametrize("name, commands, hint", [
+        ("scripted.json", ["collect"], None),
+        ("critics/critic_subgoal.json", ["index", "solve"], "`criticplan train-critic subgoal`"),
+        ("out/index.bm25", [SOLVE], "`criticplan index`"),
+        ("pairs/pairs_rationale.jsonl", ["train-critic rationale"], "`criticplan collect`"),
+        ("out/results.jsonl", ["eval"], "`criticplan solve`"),
+        ("judgments.jsonl", ["eval"], None),
+    ], ids=["scripted generator", "critic", "index", "pairs", "results", "judgments"])
+    def test_missing_input_names_it(self, runner, tmp_path, name, commands, hint):
+        if name == "judgments.jsonl":
+            config = _eval_workspace(tmp_path, [
+                {"problem_id": "r1", "task": "retrieval_ranking", "doc_ids": ["d1"]}])
+        else:
+            config = mixed_suite(tmp_path)
+        (tmp_path / name).unlink(missing_ok=True)
+        *setup, command = commands
+        for args in setup:
+            run_cli(runner, config, *args.split())
+        result = runner.invoke(main, ["--config", str(config), *command.split()])
+        assert isinstance(result.exception, CriticPlanError)
+        assert str(result.exception).startswith(f"{tmp_path / name}: ")
+        assert hint is None or hint in str(result.exception)
+
+    def test_ranking_eval_without_judgments_file_names_the_key(self, runner, tmp_path):
+        config = _eval_workspace(tmp_path, [
+            {"problem_id": "r1", "task": "retrieval_ranking", "doc_ids": ["d1"]}])
+        settings = json.loads(config.read_text())
+        del settings["paths"]["judgments_file"]
+        config.write_text(json.dumps(settings))
+        result = runner.invoke(main, ["--config", str(config), "eval"])
+        assert isinstance(result.exception, ConfigurationError)
+        assert "paths.judgments_file" in str(result.exception)
+
+
 class TestOutputFiles:
     @pytest.mark.parametrize("fault", ["disk full mid-write", "rename fails"])
     @pytest.mark.parametrize("output", list(OUTPUTS))
@@ -324,6 +377,10 @@ class TestConfig:
         ("generator.retries", {"generator": {"retries": -1}}),
         ("answer_detector.type", {"answer_detector": {"type": "nope"}}),
         ("answer_detector.pattern", {"answer_detector": {"type": "regex"}}),
+        ("generator.type", {"generator": {"type": "nope"}}),
+        ("critics.type", {"critics": {"type": "nope"}}),
+        ("oracle.type", {"oracle": {"type": "nope"}}),
+        ("checker.type", {"checker": {"type": "nope"}}),
     ])
     def test_invalid_value_names_config_key_at_load(self, tmp_path, key, config):
         config_path = tmp_path / "config.json"
@@ -529,8 +586,21 @@ class TestTrainCommand:
         config = mixed_suite(tmp_path)
         result = runner.invoke(main, ["--config", config, "train-critic", "rationale"])
         assert result.exit_code != 0
-        assert "pairs_rationale.jsonl" in result.output
-        assert "criticplan collect" in result.output
+        assert isinstance(result.exception, ConfigurationError)
+        assert "pairs_rationale.jsonl" in str(result.exception)
+        assert "criticplan collect" in str(result.exception)
+
+    def test_pair_file_of_another_kind_rejected(self, runner, tmp_path):
+        config = mixed_suite(tmp_path)
+        doc = [Observation(ObservationKind.DOC, text, doc_id=text) for text in ("a", "b")]
+        export_pairs([PreferencePair(CriticKind.DOC, "p", (), *doc, 1.0, 0.0, 1, 1)],
+                     tmp_path / "pairs")
+        pairs_path = tmp_path / "pairs" / "pairs_rationale.jsonl"
+        shutil.copyfile(tmp_path / "pairs" / "pairs_doc.jsonl", pairs_path)
+        result = runner.invoke(main, ["--config", config, "train-critic", "rationale"])
+        assert isinstance(result.exception, ConfigurationError)
+        assert str(result.exception) == f"{pairs_path}: holds a doc pair"
+        assert not (tmp_path / "critics" / "critic_rationale.json").exists()
 
     def test_trains_and_reports(self, runner, tmp_path):
         config = mixed_suite(tmp_path)
@@ -627,7 +697,9 @@ class TestSolveAndEval:
         config = mixed_suite(tmp_path)
         result = runner.invoke(main, ["--config", config, "eval"])
         assert result.exit_code != 0
-        assert "criticplan solve" in result.output
+        assert isinstance(result.exception, ConfigurationError)
+        assert "results.jsonl" in str(result.exception)
+        assert "criticplan solve" in str(result.exception)
 
 
 class TestSkippedProblems:

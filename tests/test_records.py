@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import json
 import tempfile
 from pathlib import Path
@@ -12,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from criticplan import records
+from criticplan import generation, records
 from criticplan.cli import load_problems, main
 from criticplan.critics import (
     CriticKind,
@@ -208,20 +209,31 @@ def test_document_loaders_accept_the_good_document(tmp_path, name):
     assert loader(path)
 
 
+def _calls(source: str):
+    """(node, called name, the module or object it is called on) of every call in `source`."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            yield node, name, getattr(getattr(func, "value", None), "id", None)
+
+
+def _file_reads(source: str):
+    """(line, call) of every call in `source` that opens or reads a file."""
+    for node, name, _ in _calls(source):
+        if name in ("open", "read_text", "read_bytes"):
+            yield node.lineno, name
+
+
 def _file_writes(source: str):
     """(line, call) of every call in `source` that writes a file."""
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-        module = getattr(getattr(func, "value", None), "id", None)
+    for node, name, module in _calls(source):
         if (name in ("write_text", "write_bytes")
                 or module == "os" and name in ("replace", "rename")):
             yield node.lineno, name
         elif name == "open":
             # open(file, mode) and os.open(file, flags); a Path's open(mode).
-            at = 1 if isinstance(func, ast.Name) or module in ("os", "io", "builtins") else 0
+            at = 1 if isinstance(node.func, ast.Name) or module in ("os", "io", "builtins") else 0
             mode = next((kw.value for kw in node.keywords if kw.arg in ("mode", "flags")),
                         node.args[at] if len(node.args) > at else None)
             if mode is not None and not (isinstance(mode, ast.Constant)
@@ -249,3 +261,25 @@ def test_only_records_writes_files():
               if path.name != "records.py"
               for line, call in _file_writes(path.read_text(encoding="utf-8"))]
     assert writes == []
+
+
+@pytest.mark.parametrize("source, reads", [
+    ("open(path)", True), ('path.open("rb")', True), ("os.open(path, os.O_RDONLY)", True),
+    ("path.read_text()", True), ("Path(path).read_bytes()", True),
+    ("urllib.request.urlopen(request)", False), ("records.open_input(path, error)", False),
+    ("fh.read()", False),
+])
+def test_file_read_detector(source, reads):
+    assert bool(list(_file_reads(source))) is reads
+
+
+def test_only_records_opens_input_files():
+    """Every input is opened by `records.open_input`, bar the packaged prompt templates."""
+    package = Path(records.__file__).parent
+    lines, start = inspect.getsourcelines(generation.load_template)
+    allowed = {("generation.py", line) for line in range(start, start + len(lines))}
+    reads = [f"{path.name}:{line}: {call}" for path in sorted(package.glob("*.py"))
+             if path.name != "records.py"
+             for line, call in _file_reads(path.read_text(encoding="utf-8"))
+             if (path.name, line) not in allowed]
+    assert reads == []
