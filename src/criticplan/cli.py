@@ -169,7 +169,7 @@ def index(ctx: click.Context):
     else:
         documents = retrieval.ingest_directory(corpus_dir)
     if not documents:
-        raise click.ClickException(f"no documents under {corpus_dir}")
+        raise IngestionError(f"{corpus_dir}: no documents")
     params = retrieval.Bm25Params(**config.retrieval)
     try:
         corpus = retrieval.build_index(documents, params=params, corpus_id=corpus_dir.name)
@@ -226,7 +226,7 @@ def train_critic(ctx: click.Context, kind: str):
     pairs_path = _made_by(config.path("pairs_dir") / pairs_filename(critic_kind), "collect")
     pairs = import_pairs(pairs_path)
     if not pairs:
-        raise click.ClickException(f"{pairs_path} contains no pairs")
+        raise ConfigurationError(f"{pairs_path}: contains no pairs")
     stray = next((pair for pair in pairs if pair.kind is not critic_kind), None)
     if stray is not None:
         raise ConfigurationError(f"{pairs_path}: holds a {stray.kind.value} pair")
@@ -348,7 +348,7 @@ def eval_cmd(ctx: click.Context):
 
     records.read(results_file, read_result, ConfigurationError, header=("solve-results", 1))
     if len(unrecorded) == len(problems):
-        raise click.ClickException("results file contains no result records")
+        raise ConfigurationError(f"{results_file}: contains no result records")
     # A problem of the set without a record failed too: wrong, or an empty ranking.
     for problem in unrecorded.values():
         if problem.task_kind is TaskKind.RETRIEVAL_RANKING:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import records
 from .critics import FeaturizerSpec, HttpCritic, train_reference_critic
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractViolationError
 from .evaluation import ExternalCommandChecker
 from .generation import HttpGeneratorBackend, SamplingConfig
 from .mcts import MctsConfig
@@ -96,8 +96,9 @@ class EngineConfig:
             value = getattr(self, section).get(name, default)
             expected = (int, float) if isinstance(default, float) else type(default)
             if isinstance(value, bool) or not isinstance(value, expected):
-                raise ConfigurationError(
-                    f"{section}.{name} must be a {type(default).__name__}, got {value!r}")
+                kind = type(default).__name__
+                raise ConfigurationError(f"{section}.{name} must be "
+                                         f"{'an' if kind == 'int' else 'a'} {kind}, got {value!r}")
         # The keys no owner types name paths, types, URLs and patterns: strings.
         # A checker's command is a non-empty list of strings.
         typed = {key[:2] for key in _TYPED_KEYS}
@@ -157,7 +158,10 @@ def load_engine_config(path, environ: dict | None = None) -> EngineConfig:
                     raise ConfigurationError(
                         f"{path}: unknown config key {key}.{sub!r}"
                     )
-    config = EngineConfig(**data)
+    try:
+        config = EngineConfig(**data)
+    except (ConfigurationError, ContractViolationError) as err:
+        raise ConfigurationError(f"{path}: {err}") from err
     if environ.get(GENERATOR_URL_ENV):
         config.generator["url"] = environ[GENERATOR_URL_ENV]
     if environ.get(CRITIC_URL_ENV):

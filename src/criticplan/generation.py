@@ -318,7 +318,7 @@ class ScriptedBackend:
             sample_rules=[_as_rule(e, for_conclude=False) for e in data.get("sample", [])],
             conclude_rules=[_as_rule(e, for_conclude=True) for e in data.get("conclude", [])],
             default_conclusion=data.get("default_conclusion"),
-        ), BackendError, SCRIPTED_HEADER)
+        ), ConfigurationError, SCRIPTED_HEADER)
 
 
 def post_json(url: str, payload: dict, timeout: float, attempts: int, what: str) -> dict:

@@ -15,6 +15,7 @@ import json
 import os
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 from .errors import ContractViolationError, OutputError
 
@@ -38,9 +39,10 @@ def header(format: str, version: int = 1, **fields) -> str:
     return dumps({"format": format, "version": version, **fields, "generated_at": stamp}) + "\n"
 
 
-def write(path, data: str | bytes) -> None:
+def write(path, data: str | bytes | Iterable[bytes]) -> None:
     """Replace `path` with `data` (a str is encoded as UTF-8) atomically.
 
+    `data` may also be an iterable of bytes-like chunks, written in turn.
     The parent directory is created, the bytes go to a temporary file beside
     `path`, and `os.replace` moves it over `path`. A failed or interrupted
     write leaves any previous file intact and removes the temporary file. It
@@ -53,7 +55,8 @@ def write(path, data: str | bytes) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
             with open(temporary, "wb") as fh:
-                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+                data = data.encode("utf-8") if isinstance(data, str) else data
+                fh.writelines([data] if isinstance(data, bytes) else data)
             os.replace(temporary, path)
         except BaseException:
             temporary.unlink(missing_ok=True)

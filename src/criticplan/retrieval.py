@@ -137,22 +137,39 @@ def build_index(
     avgdl = sum(doc_lengths) / n if n else 0.0
     id_terms = [term.decode("ascii") for term in term_ids]
     terms = {term: row for row, term in enumerate(sorted(id_terms))}
-    lengths = np.array(doc_lengths, dtype=np.int64)
-    # One sort of the (term row, document) keys puts the postings in CSR order,
-    # each row's documents ascending, and counts each posting's tf.
-    keys = _ranks(id_terms)[token_ids]
-    keys *= n
-    keys += np.repeat(np.arange(n), lengths)
-    keys, tf = np.unique(keys, return_counts=True)
-    df = np.bincount(keys // n, minlength=len(terms))
-    positions = (keys % n).astype(np.int32)
+    # One in-place sort of the (term row, document) keys puts the postings in CSR
+    # order, each row's documents ascending. Each run of equal keys is a posting,
+    # and the run's length its tf. Each large temporary is made once, in place.
+    keys = np.frombuffer(token_ids, np.int64)
+    del token_ids  # the view keeps the buffer alive
+    np.take(_ranks(id_terms) * n, keys, out=keys, mode="clip")  # "raise" would copy `out`
+    keys += np.repeat(np.arange(n, dtype=np.intc), doc_lengths)
+    keys.sort()
+    new = np.empty(len(keys) + 1, dtype=bool)  # each run's start, and the end
+    new[[0, -1]] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:-1])
+    keys = keys[new[:-1]]
+    tf = np.diff(np.flatnonzero(new))
+    offsets = keys.searchsorted(np.arange(len(terms) + 1) * n)
+    keys %= n
+    positions = keys.astype(np.int32)
+    del keys, new
+    df = np.diff(offsets)
     idf = [math.log((n - d + 0.5) / (d + 0.5) + 1.0) for d in df.tolist()]
     # The scalar formula's operations in its order: every float is bit-identical.
     k1, b = params.k1, params.b
-    norm = k1 * (1.0 - b + b * lengths[positions] / avgdl)
-    scores = np.repeat(np.array(idf, dtype=np.float64), df) * tf * (k1 + 1.0) / (tf + norm)
+    norm = np.array(doc_lengths, dtype=np.float64)[positions]
+    norm *= b
+    norm /= avgdl
+    norm += 1.0 - b
+    norm *= k1
+    norm += tf
+    scores = np.repeat(np.array(idf, dtype=np.float64), df)
+    scores *= tf
+    scores *= k1 + 1.0
+    scores /= norm
     return Corpus(corpus_id, params, tuple(doc_ids), tuple(doc_texts), avgdl, terms,
-                  np.concatenate(([0], np.cumsum(df))), positions, scores, _ranks(doc_ids))
+                  offsets, positions, scores, _ranks(doc_ids))
 
 
 def _accumulate(corpus: Corpus, query: str) -> np.ndarray:
@@ -212,6 +229,11 @@ def index_bytes(corpus: Corpus) -> bytes:
     text bounds (one per document, plus one), then the documents' UTF-8 texts
     concatenated: document p's text is bytes `bounds[p]:bounds[p + 1]` of them.
     """
+    return b"".join(_index_parts(corpus))
+
+
+def _index_parts(corpus: Corpus):
+    """`index_bytes` in parts: the arrays uncopied, and each text encoded on its own."""
     terms = sorted(corpus.terms, key=corpus.terms.__getitem__)
     meta = {
         "corpus_id": corpus.corpus_id,
@@ -221,17 +243,17 @@ def index_bytes(corpus: Corpus) -> bytes:
         "terms": terms,
         "postings": len(corpus.positions),
     }
-    head = f"{INDEX_MAGIC} {INDEX_VERSION}\n" + json.dumps(
-        meta, ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n"
-    texts = [text.encode("utf-8") for text in corpus.doc_texts]
-    return b"".join((head.encode("utf-8"), corpus.offsets.astype("<i8").tobytes(),
-                     corpus.positions.astype("<i4").tobytes(),
-                     corpus.scores.astype("<f8").tobytes(),
-                     np.cumsum([0, *map(len, texts)]).astype("<i8").tobytes(), *texts))
+    yield (f"{INDEX_MAGIC} {INDEX_VERSION}\n" + json.dumps(
+        meta, ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    yield corpus.offsets.astype("<i8", copy=False)
+    yield corpus.positions.astype("<i4", copy=False)
+    yield corpus.scores.astype("<f8", copy=False)
+    yield np.cumsum([0, *map(len, map(str.encode, corpus.doc_texts))]).astype("<i8")
+    yield from map(str.encode, corpus.doc_texts)  # UTF-8
 
 
 def save_index(corpus: Corpus, path) -> None:
-    records.write(path, index_bytes(corpus))
+    records.write(path, _index_parts(corpus))
 
 
 class _MappedTexts(Sequence[str]):

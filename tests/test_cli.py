@@ -134,7 +134,8 @@ class TestIndexCommand:
         )
         result = runner.invoke(main, ["--config", config, "index"])
         assert result.exit_code != 0
-        assert "no documents" in result.output
+        assert isinstance(result.exception, IngestionError)
+        assert str(result.exception) == f"{tmp_path / 'corpus'}: no documents"
 
     @staticmethod
     def _jsonl_corpus(root, lines: str):
@@ -368,8 +369,20 @@ class TestConfig:
     def test_wrong_typed_value_names_config_key(self, tmp_path, section, key, value):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({section: {key: value}}))
-        with pytest.raises(ConfigurationError, match=f"{section}.{key}"):
+        with pytest.raises(ConfigurationError, match=f"{section}.{key}") as err:
             load_engine_config(config_path, environ={})
+        assert str(err.value).startswith(f"{config_path}: {section}.{key} must be ")
+
+    def test_wrong_typed_value_message_names_file_and_type(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"sampling": {"k": "3"}}))
+        with pytest.raises(ConfigurationError) as err:
+            load_engine_config(config_path, environ={})
+        assert str(err.value) == f"{config_path}: sampling.k must be an int, got '3'"
+        config_path.write_text(json.dumps({"sampling": {"temperature": "hot"}}))
+        with pytest.raises(ConfigurationError) as err:
+            load_engine_config(config_path, environ={})
+        assert str(err.value) == f"{config_path}: sampling.temperature must be a float, got 'hot'"
 
     @pytest.mark.parametrize("key, config", [
         ("answer_detector.pattern", {"answer_detector": {"type": "regex", "pattern": "("}}),
@@ -385,8 +398,9 @@ class TestConfig:
     def test_invalid_value_names_config_key_at_load(self, tmp_path, key, config):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
-        with pytest.raises(ConfigurationError, match=key):
+        with pytest.raises(ConfigurationError, match=key) as err:
             load_engine_config(config_path, environ={})
+        assert str(err.value).startswith(f"{config_path}: ")
 
     def test_run_seed_is_the_http_generator_seed(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -589,6 +603,15 @@ class TestTrainCommand:
         assert isinstance(result.exception, ConfigurationError)
         assert "pairs_rationale.jsonl" in str(result.exception)
         assert "criticplan collect" in str(result.exception)
+
+    def test_pair_file_without_pairs_names_it(self, runner, tmp_path):
+        config = mixed_suite(tmp_path)
+        pairs_path = tmp_path / "pairs" / "pairs_rationale.jsonl"
+        records.write(pairs_path, records.header("preference-pairs"))
+        result = runner.invoke(main, ["--config", config, "train-critic", "rationale"])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, CriticPlanError)
+        assert str(result.exception) == f"{pairs_path}: contains no pairs"
 
     def test_pair_file_of_another_kind_rejected(self, runner, tmp_path):
         config = mixed_suite(tmp_path)
@@ -938,7 +961,9 @@ class TestBatchFailures:
         config = _eval_workspace(tmp_path, [])
         result = runner.invoke(main, ["--config", str(config), "eval"])
         assert result.exit_code != 0
-        assert "results file contains no result records" in result.output
+        assert isinstance(result.exception, CriticPlanError)
+        assert str(result.exception) == (
+            f"{tmp_path / 'out' / 'results.jsonl'}: contains no result records")
 
 
 class _JoinedThreadingServer(ThreadingMixIn, HTTPServer):

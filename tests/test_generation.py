@@ -258,7 +258,7 @@ class TestScriptedBackendFile:
         path.write_text(json.dumps(
             {"format": "scripted-generator", "version": 1, section: [rule]}
         ))
-        with pytest.raises(BackendError) as err:
+        with pytest.raises(ConfigurationError) as err:
             ScriptedBackend.from_file(path)
         assert f"{path}: rule '" in str(err.value)
 
@@ -268,7 +268,7 @@ class TestScriptedBackendFile:
         path.write_text(json.dumps(
             {"format": "scripted-generator", "version": 1, "default_conclusion": default}
         ))
-        with pytest.raises(BackendError) as err:
+        with pytest.raises(ConfigurationError) as err:
             ScriptedBackend.from_file(path)
         assert str(err.value) == f"{path}: default_conclusion must be a string, got {default!r}"
 

@@ -159,6 +159,26 @@ def _malformed_files():
             yield pytest.param(name, text, ": ", id=f"{name}-{case}")
 
 
+def test_write_joins_chunks(tmp_path):
+    path = tmp_path / "out" / "data.bin"
+    records.write(path, iter([b"ab", bytearray(b"cd"), memoryview(b"ef"), b""]))
+    assert path.read_bytes() == b"abcdef"
+
+
+def test_chunks_that_fail_midway_keep_the_previous_file(tmp_path):
+    path = tmp_path / "data.bin"
+    records.write(path, "previous")
+
+    def chunks():
+        yield b"new start "
+        raise RuntimeError("chunk source failed")
+
+    with pytest.raises(RuntimeError, match="chunk source failed"):
+        records.write(path, chunks())
+    assert path.read_bytes() == b"previous"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("name, text, where", list(_malformed_files()))
 def test_malformed_file_error_names_path_and_line(tmp_path, name, text, where):
     path = tmp_path / "results.jsonl"
