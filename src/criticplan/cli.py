@@ -19,8 +19,8 @@ import click
 
 from . import critics as critics_mod
 from . import evaluation, generation, mcts, planner, records, retrieval
-from .config import EngineConfig, load_engine_config
-from .critics import CriticKind, LinearCritic, import_pairs, pairs_filename
+from .config import _TYPES, EngineConfig, load_engine_config, present, section_type
+from .critics import CriticKind, LinearCritic, critic_filename, import_pairs, pairs_filename
 from .errors import ConfigurationError, CriticPlanError, IngestionError
 from .mdp import ProblemInstance, SubGoal, TaskKind, format_trajectory_log
 
@@ -49,11 +49,6 @@ def load_problems(path) -> list[ProblemInstance]:
     return records.read(path, parse, ConfigurationError)
 
 
-def _present(spec: dict, *keys: str) -> dict:
-    """The entries of `spec` among `keys`; absent keys keep the owner's default."""
-    return {key: spec[key] for key in keys if key in spec}
-
-
 def _made_by(path: Path, command: str) -> Path:
     """`path`, which `criticplan <command>` writes; a ConfigurationError saying so if missing."""
     if not path.exists():
@@ -63,40 +58,33 @@ def _made_by(path: Path, command: str) -> Path:
 
 def _generator_from_config(config: EngineConfig) -> generation.GeneratorBackend:
     spec = config.generator
-    if spec.get("type", "scripted") == "scripted":
-        if "path" not in spec:
-            raise ConfigurationError("generator.path is required for a scripted generator")
-        return generation.ScriptedBackend.from_file(spec["path"])
-    if "url" not in spec:
-        raise ConfigurationError("generator.url is required for an http generator")
-    return generation.HttpGeneratorBackend(
-        base_url=spec["url"], seed=config.seed, **_present(spec, "timeout", "retries"))
+    if section_type("generator", spec) == "http":
+        return generation.HttpGeneratorBackend(
+            base_url=spec["url"], seed=config.seed, **present(spec, "timeout", "retries"))
+    return generation.ScriptedBackend.from_file(spec["path"])
 
 
-def _checker_from_spec(spec: dict, section: str) -> evaluation.AnswerChecker:
+def _checker_from_config(config: EngineConfig, section: str) -> evaluation.AnswerChecker:
     """Answer checker for the `oracle` (MCTS reward) or `checker` (eval) section."""
-    if spec.get("type", "exact_match") == "exact_match":
-        return evaluation.NormalizedExactMatchChecker()
-    command = spec.get("command")
-    if not isinstance(command, list) or not command:
-        raise ConfigurationError(f"{section}.command must be a non-empty list: {command!r}")
-    return evaluation.ExternalCommandChecker(command=tuple(command), **_present(spec, "timeout"))
+    spec = getattr(config, section)
+    if section_type(section, spec) == "command":
+        return evaluation.ExternalCommandChecker(command=tuple(spec["command"]),
+                                                 **present(spec, "timeout"))
+    return evaluation.NormalizedExactMatchChecker()
 
 
 def _critics_from_config(config: EngineConfig, mode: str | None = None):
-    kind = mode or config.critics.get("type", "trained")
+    kind = section_type("critics", config.critics, mode)
     if kind == "constant":
         return {k: critics_mod.ConstantCritic(0.0) for k in CriticKind}
     if kind == "http":
-        if "url" not in config.critics:
-            raise ConfigurationError("critics.url is required for http critics")
         backend = critics_mod.HttpCritic(
-            base_url=config.critics["url"], **_present(config.critics, "timeout")
+            base_url=config.critics["url"], **present(config.critics, "timeout")
         )
         return {k: backend for k in CriticKind}
     loaded = {}
     for critic_kind in CriticKind:
-        path = _made_by(config.path("critics_dir") / f"critic_{critic_kind.value}.json",
+        path = _made_by(config.path("critics_dir") / critic_filename(critic_kind),
                         f"train-critic {critic_kind.value}")
         critic = loaded[critic_kind] = LinearCritic.load(path)
         if critic.kind is not critic_kind:
@@ -170,9 +158,9 @@ def index(ctx: click.Context):
         documents = retrieval.ingest_directory(corpus_dir)
     if not documents:
         raise IngestionError(f"{corpus_dir}: no documents")
-    params = retrieval.Bm25Params(**config.retrieval)
     try:
-        corpus = retrieval.build_index(documents, params=params, corpus_id=corpus_dir.name)
+        corpus = retrieval.build_index(documents, params=config.bm25_params(),
+                                       corpus_id=corpus_dir.name)
     except IngestionError as err:
         raise IngestionError(f"{corpus_dir}: {err}") from err
     index_path = config.path("index_path")
@@ -190,7 +178,7 @@ def collect(ctx: click.Context):
     _echo_config(config)
     problems = load_problems(config.path("problems_file"))
     generator = _generator_from_config(config)
-    oracle = mcts.CheckerOracle(_checker_from_spec(config.oracle, "oracle"))
+    oracle = mcts.CheckerOracle(_checker_from_config(config, "oracle"))
     corpus = _load_corpus(config)
     cfg = config.mcts_config()
     detector = config.planner_config().answer_detector
@@ -232,10 +220,10 @@ def train_critic(ctx: click.Context, kind: str):
         raise ConfigurationError(f"{pairs_path}: holds a {stray.kind.value} pair")
     critic = critics_mod.train_reference_critic(
         pairs,
-        featurizer_spec=critics_mod.FeaturizerSpec(**_present(config.critics, "dim")),
+        featurizer_spec=config.featurizer_spec(),
         **config.training,
     )
-    out_path = config.path("critics_dir") / f"critic_{kind}.json"
+    out_path = config.path("critics_dir") / critic_filename(critic_kind)
     critic.save(out_path)
     click.echo(f"critic written: {out_path}")
     click.echo(f"pairs: {len(pairs)}")
@@ -244,7 +232,7 @@ def train_critic(ctx: click.Context, kind: str):
 
 
 @main.command()
-@click.option("--critics", "critics_mode", type=click.Choice(["trained", "constant", "http"]),
+@click.option("--critics", "critics_mode", type=click.Choice(list(_TYPES["critics"])),
               default=None, help="Override the critic backend type.")
 @click.pass_context
 def solve(ctx: click.Context, critics_mode: str | None):
@@ -253,7 +241,7 @@ def solve(ctx: click.Context, critics_mode: str | None):
     _echo_config(config)
     problems = load_problems(config.path("problems_file"))
     generator = _generator_from_config(config)
-    critic_type = critics_mode or config.critics.get("type", "trained")
+    critic_type = section_type("critics", config.critics, critics_mode)
     critic_backends = _critics_from_config(config, critic_type)
     corpus = _load_corpus(config)
     cfg = config.planner_config()
@@ -337,8 +325,10 @@ def eval_cmd(ctx: click.Context):
                              f"{problem.task_kind.value!r}, not {record['task']!r}")
         error = record.get("error")
         if problem.task_kind is TaskKind.RETRIEVAL_RANKING:
-            ranking_rows[problem.problem_id] = [] if error else records.strings(
-                record["doc_ids"], "doc_ids")
+            doc_ids = [] if error else records.strings(record["doc_ids"], "doc_ids")
+            if len(set(doc_ids)) < len(doc_ids):
+                raise ValueError(f"doc_ids must not repeat an id, got {doc_ids!r}")
+            ranking_rows[problem.problem_id] = doc_ids
         elif error:
             answer_rows.append(evaluation.ProblemOutcome(problem.problem_id, False, error=error))
         elif not isinstance(record["final_answer"], str):
@@ -361,7 +351,7 @@ def eval_cmd(ctx: click.Context):
     ranking_mean = None
     per_problem = None
     if answer_rows:
-        checker = _checker_from_spec(config.checker, "checker")
+        checker = _checker_from_config(config, "checker")
         answer_report = evaluation.accuracy(answer_rows, checker)
         click.echo(f"accuracy: {answer_report.accuracy:.6f}")
     if ranking_rows:

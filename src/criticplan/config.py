@@ -8,6 +8,7 @@ replaces critics.url.
 from __future__ import annotations
 
 import inspect
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,40 +19,32 @@ from .errors import ConfigurationError, ContractViolationError
 from .evaluation import ExternalCommandChecker
 from .generation import HttpGeneratorBackend, SamplingConfig
 from .mcts import MctsConfig
-from .mdp import SentinelAnswerDetector, answer_detector_from_spec
+from .mdp import NEVER_DETECT, AnswerDetector, RegexAnswerDetector, SentinelAnswerDetector
 from .planner import PlannerConfig
 from .retrieval import Bm25Params
 
 GENERATOR_URL_ENV = "CRITICPLAN_GENERATOR_URL"
 CRITIC_URL_ENV = "CRITICPLAN_CRITIC_URL"
 
-# Allowed keys per section; anything else is rejected so typos fail loudly.
-_SCHEMA: dict[str, set[str] | None] = {
-    "paths": {
-        "corpus_dir", "index_path", "pairs_dir", "critics_dir",
-        "problems_file", "output_dir", "judgments_file",
-    },
-    "generator": {"type", "path", "url", "timeout", "retries"},
-    "critics": {"type", "url", "timeout", "dim"},
-    "oracle": {"type", "command", "timeout"},
-    "answer_detector": {"type", "sentinel", "pattern"},
-    "sampling": {"k", "temperature"},
-    "retrieval": {"k1", "b"},
-    "mcts": {"iterations", "exploration", "horizon"},
-    "planner": {"horizon", "final_retrieval_k"},
-    "training": {"epochs", "learning_rate"},
-    "checker": {"type", "command", "timeout"},
-    "seed": None,
+# The `type` values of each section that picks a backend, its default first,
+# each with the keys it needs. Only `section_type` reads a section's `type`.
+_TYPES = {
+    "generator": {"scripted": ("path",), "http": ("url",)},
+    "critics": {"trained": (), "constant": (), "http": ("url",)},
+    "oracle": {"exact_match": (), "command": ("command",)},
+    "checker": {"exact_match": (), "command": ("command",)},
+    "answer_detector": {"sentinel": (), "regex": ("pattern",), "never": ()},
 }
 
-# The `type` values each factory builds, its default first. An answer detector's
-# type is checked when the detector is built.
-_TYPES = {
-    "generator": ("scripted", "http"),
-    "critics": ("trained", "constant", "http"),
-    "oracle": ("exact_match", "command"),
-    "checker": ("exact_match", "command"),
+# Allowed keys per section; anything else is rejected so typos fail loudly. Those
+# listed here no owner types: paths, and each section's type and the keys its
+# types need. They hold strings; a checker's command, a non-empty list of them.
+_SCHEMA: dict[str, set[str] | None] = {
+    "paths": {"corpus_dir", "index_path", "pairs_dir", "critics_dir",
+              "problems_file", "output_dir", "judgments_file"},
+    **{section: {"type"}.union(*types.values()) for section, types in _TYPES.items()},
 }
+_STRING_KEYS = tuple((section, name) for section, names in _SCHEMA.items() for name in sorted(names))
 
 # (section, key, default) for each key a section passes by keyword to its
 # owner. Defaults live only on the owners, and a value must have the type of
@@ -72,8 +65,44 @@ _TYPED_KEYS = tuple(
         ("answer_detector", SentinelAnswerDetector),
     )
     for name, parameter in inspect.signature(owner).parameters.items()
-    if parameter.default not in (None, inspect.Parameter.empty)
+    if isinstance(parameter.default, (int, float, str))
 )
+# The keys owners type join the allowed keys; the seed is a bare int.
+_SCHEMA["seed"] = None
+for _section, _name, _ in _TYPED_KEYS:
+    _SCHEMA.setdefault(_section, set()).add(_name)
+
+
+def present(spec: dict, *keys: str) -> dict:
+    """The entries of `spec` among `keys`; absent keys keep the owner's default."""
+    return {key: spec[key] for key in keys if key in spec}
+
+
+def section_type(section: str, spec: dict, override: str | None = None) -> str:
+    """`section`'s type, or `override`; a ConfigurationError if `spec` lacks a key it needs."""
+    kind = override or spec.get("type", next(iter(_TYPES[section])))
+    for key in _TYPES[section][kind]:
+        if key not in spec:
+            raise ConfigurationError(f"{section}.{key} is required for {section}.type {kind!r}")
+    return kind
+
+
+def answer_detector_from_spec(spec: dict) -> AnswerDetector:
+    """The detector an `answer_detector` section describes."""
+    kind = section_type("answer_detector", spec)
+    if kind == "regex":
+        return _build("answer_detector", RegexAnswerDetector, pattern=spec["pattern"])
+    if kind == "never":
+        return NEVER_DETECT
+    return SentinelAnswerDetector(**present(spec, "sentinel"))
+
+
+def _build(section: str, owner, **values):
+    """`owner(**values)`; a value it refuses is named `section.key` in a ConfigurationError."""
+    try:
+        return owner(**values)
+    except ContractViolationError as err:
+        raise ConfigurationError(f"{section}.{err}") from err
 
 
 @dataclass(frozen=True)
@@ -99,48 +128,51 @@ class EngineConfig:
                 kind = type(default).__name__
                 raise ConfigurationError(f"{section}.{name} must be "
                                          f"{'an' if kind == 'int' else 'a'} {kind}, got {value!r}")
-        # The keys no owner types name paths, types, URLs and patterns: strings.
-        # A checker's command is a non-empty list of strings.
-        typed = {key[:2] for key in _TYPED_KEYS}
-        for section, names in _SCHEMA.items():
-            for name in sorted(names or ()):
-                if (section, name) in typed or name not in getattr(self, section):
-                    continue
-                value = getattr(self, section)[name]
-                items = value if name == "command" else [value]
-                if not (isinstance(items, list) and items
-                        and all(isinstance(item, str) for item in items)):
-                    kind = "a non-empty list of strings" if name == "command" else "a string"
-                    raise ConfigurationError(f"{section}.{name} must be {kind}, got {value!r}")
-        for section, known in _TYPES.items():
-            kind = getattr(self, section).get("type", known[0])
-            if kind not in known:
-                raise ConfigurationError(
-                    f"{section}.type must be one of {', '.join(known)}, got {kind!r}")
+            # JSON's NaN and Infinity, and 1e400, read as non-finite floats.
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{section}.{name} must be finite, got {value!r}")
+        for section, name in _STRING_KEYS:
+            if name not in getattr(self, section):
+                continue
+            value = getattr(self, section)[name]
+            items = value if name == "command" else [value]
+            if not (isinstance(items, list) and items
+                    and all(isinstance(item, str) for item in items)):
+                kind = "a non-empty list of strings" if name == "command" else "a string"
+                raise ConfigurationError(f"{section}.{name} must be {kind}, got {value!r}")
+            if name == "type" and value not in _TYPES[section]:
+                raise ConfigurationError(f"{section}.type must be one of "
+                                         f"{', '.join(_TYPES[section])}, got {value!r}")
         # It is also the seed an HTTP generator is sent.
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigurationError(f"seed must be an int, got {self.seed!r}")
         # Build what needs no files now, so a bad value fails at load.
         self.mcts_config()
         self.planner_config()
-        Bm25Params(**self.retrieval)
-        if "retries" in self.generator:
-            HttpGeneratorBackend(base_url="", retries=self.generator["retries"])
+        self.bm25_params()
+        self.featurizer_spec()
+        _build("generator", HttpGeneratorBackend, base_url="", **present(self.generator, "retries"))
 
     def path(self, name: str) -> Path:
         if name not in self.paths:
             raise ConfigurationError(f"config is missing paths.{name}")
         return Path(self.paths[name])
 
+    def bm25_params(self) -> Bm25Params:
+        return _build("retrieval", Bm25Params, **self.retrieval)
+
+    def featurizer_spec(self) -> FeaturizerSpec:
+        return _build("critics", FeaturizerSpec, **present(self.critics, "dim"))
+
+    def sampling_config(self) -> SamplingConfig:
+        return _build("sampling", SamplingConfig, **self.sampling)
+
     def mcts_config(self) -> MctsConfig:
-        return MctsConfig(**self.mcts, sampling=SamplingConfig(**self.sampling))
+        return _build("mcts", MctsConfig, **self.mcts, sampling=self.sampling_config())
 
     def planner_config(self) -> PlannerConfig:
-        return PlannerConfig(
-            **self.planner,
-            sampling=SamplingConfig(**self.sampling),
-            answer_detector=answer_detector_from_spec(self.answer_detector),
-        )
+        return _build("planner", PlannerConfig, **self.planner, sampling=self.sampling_config(),
+                      answer_detector=answer_detector_from_spec(self.answer_detector))
 
 
 def load_engine_config(path, environ: dict | None = None) -> EngineConfig:
@@ -160,7 +192,7 @@ def load_engine_config(path, environ: dict | None = None) -> EngineConfig:
                     )
     try:
         config = EngineConfig(**data)
-    except (ConfigurationError, ContractViolationError) as err:
+    except ConfigurationError as err:
         raise ConfigurationError(f"{path}: {err}") from err
     if environ.get(GENERATOR_URL_ENV):
         config.generator["url"] = environ[GENERATOR_URL_ENV]

@@ -191,7 +191,7 @@ class FeaturizerSpec:
 
     def __post_init__(self):
         if self.dim < 2:
-            raise ContractViolationError("featurizer dim must be >= 2")
+            raise ContractViolationError("dim must be >= 2")
 
 
 def _bucket_ids(dim: int, text: str) -> tuple[int, ...]:
@@ -456,6 +456,10 @@ def _pair_from_record(data: dict) -> PreferencePair:
 
 def pairs_filename(kind: CriticKind) -> str:
     return f"pairs_{kind.value}.jsonl"
+
+
+def critic_filename(kind: CriticKind) -> str:
+    return f"critic_{kind.value}.json"
 
 
 def export_pairs(pairs: Iterable[PreferencePair], directory) -> dict[CriticKind, int]:

@@ -40,7 +40,7 @@ class SamplingConfig:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ContractViolationError("sampling k must be >= 1")
+            raise ContractViolationError("k must be >= 1")
         if self.temperature < 0:
             raise ContractViolationError("temperature must be >= 0")
 
@@ -365,7 +365,7 @@ class HttpGeneratorBackend:
 
     def __post_init__(self):
         if self.retries < 0:
-            raise ConfigurationError(f"generator.retries must be >= 0, got {self.retries}")
+            raise ContractViolationError(f"retries must be >= 0, got {self.retries}")
 
     def sample(self, prompt: str, k: int, temperature: float) -> list[str]:
         payload = {"prompt": prompt, "k": k, "temperature": temperature}

@@ -67,6 +67,8 @@ class MctsConfig:
             raise ContractViolationError("iterations must be >= 1")
         if self.exploration < 0:
             raise ContractViolationError("exploration must be >= 0")
+        if self.horizon < 1:
+            raise ContractViolationError("horizon must be >= 1")
 
 
 class RewardOracle(Protocol):

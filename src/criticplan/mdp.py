@@ -16,12 +16,7 @@ from functools import cached_property
 from typing import Protocol, Sequence, Union
 
 from . import records
-from .errors import (
-    ConfigurationError,
-    ContractViolationError,
-    HorizonExceededError,
-    TerminalStateError,
-)
+from .errors import ContractViolationError, HorizonExceededError, TerminalStateError
 
 DEFAULT_HORIZON = 24
 
@@ -291,33 +286,17 @@ class RegexAnswerDetector:
 
     def __post_init__(self):
         if not isinstance(self.pattern, str):
-            raise ConfigurationError(f"answer_detector.pattern must be a str, got {self.pattern!r}")
+            raise ContractViolationError(f"pattern must be a str, got {self.pattern!r}")
         try:
             object.__setattr__(self, "_regex", re.compile(self.pattern))
         except re.error as err:
-            raise ConfigurationError(f"answer_detector.pattern {self.pattern!r}: {err}") from None
+            raise ContractViolationError(f"pattern {self.pattern!r}: {err}") from None
 
     def __call__(self, observation: Observation) -> bool:
         return self._regex.search(observation.text) is not None
 
 
 NEVER_DETECT = SentinelAnswerDetector(sentinel="\x00never\x00")
-
-
-def answer_detector_from_spec(spec: dict) -> AnswerDetector:
-    """Build a detector from a config mapping: {"type": "sentinel"|"regex"|"never", ...}."""
-    kind = spec.get("type", "sentinel")
-    if kind == "sentinel":
-        if "sentinel" in spec:
-            return SentinelAnswerDetector(sentinel=spec["sentinel"])
-        return SentinelAnswerDetector()
-    if kind == "regex":
-        if "pattern" not in spec:
-            raise ConfigurationError("answer_detector.pattern is required for a regex detector")
-        return RegexAnswerDetector(pattern=spec["pattern"])
-    if kind == "never":
-        return NEVER_DETECT
-    raise ConfigurationError(f"unknown answer_detector.type {kind!r}")
 
 
 def is_terminal(state: State, detector: AnswerDetector) -> bool:

@@ -63,11 +63,11 @@ class Bm25Params:
     def __post_init__(self):
         for name, value in (("k1", self.k1), ("b", self.b)):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ContractViolationError(f"retrieval.{name} must be a number, got {value!r}")
+                raise ContractViolationError(f"{name} must be a number, got {value!r}")
         if not 0 < self.k1 < math.inf:
-            raise ContractViolationError("retrieval.k1 must be finite and > 0")
+            raise ContractViolationError("k1 must be finite and > 0")
         if not 0.0 <= self.b <= 1.0:
-            raise ContractViolationError("retrieval.b must be in [0, 1]")
+            raise ContractViolationError("b must be in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import dataclasses
 import inspect
 import json
+import math
 import os
 import shutil
 import sys
@@ -18,6 +20,7 @@ import pytest
 from click.testing import CliRunner
 
 from criticplan import cli, records
+from criticplan import config as config_mod
 from criticplan.cli import load_problems, main
 from criticplan.config import load_engine_config
 from criticplan.critics import (
@@ -394,13 +397,27 @@ class TestConfig:
         ("critics.type", {"critics": {"type": "nope"}}),
         ("oracle.type", {"oracle": {"type": "nope"}}),
         ("checker.type", {"checker": {"type": "nope"}}),
+        ("planner.horizon", {"planner": {"horizon": 1}}),
+        ("sampling.k", {"sampling": {"k": 0}}),
+        ("mcts.iterations", {"mcts": {"iterations": 0}}),
+        ("critics.dim", {"critics": {"dim": 1}}),
+        # Every collect problem used to be skipped at search time.
+        ("mcts.horizon", {"mcts": {"horizon": 0}}),
+        # json reads NaN, Infinity and 1e400 as non-finite floats. A NaN exploration
+        # made every UCB score NaN, so selection always took the first child, and a
+        # NaN temperature was sent to an HTTP generator as the non-JSON token NaN.
+        ("mcts.exploration", {"mcts": {"exploration": math.nan}}),
+        ("sampling.temperature", {"sampling": {"temperature": math.nan}}),
+        ("sampling.temperature", {"sampling": {"temperature": math.inf}}),
+        ("training.learning_rate", {"training": {"learning_rate": -math.inf}}),
+        ("generator.timeout", {"generator": {"timeout": math.inf}}),
     ])
     def test_invalid_value_names_config_key_at_load(self, tmp_path, key, config):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         with pytest.raises(ConfigurationError, match=key) as err:
             load_engine_config(config_path, environ={})
-        assert str(err.value).startswith(f"{config_path}: ")
+        assert str(err.value).startswith(f"{config_path}: {key}")
 
     def test_run_seed_is_the_http_generator_seed(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -426,8 +443,10 @@ class TestConfig:
         http = load_engine_config(config_path, environ={})
         assert cli._generator_from_config(http) == HttpGeneratorBackend(base_url=url, seed=0)
         assert set(cli._critics_from_config(http).values()) == {HttpCritic(base_url=url)}
-        checker = cli._checker_from_spec({"type": "command", "command": ["true"]}, "checker")
-        assert checker == ExternalCommandChecker(command=("true",))
+        config_path.write_text(json.dumps({"checker": {"type": "command", "command": ["true"]}}))
+        command = load_engine_config(config_path, environ={})
+        assert cli._checker_from_config(command, "checker") == ExternalCommandChecker(
+            command=("true",))
 
     def test_readme_example_config_is_the_defaults(self, tmp_path):
         text = README.read_text(encoding="utf-8").split("### Config file", 1)[1]
@@ -446,9 +465,13 @@ class TestConfig:
 
     @pytest.mark.parametrize("section", ["oracle", "checker"])
     @pytest.mark.parametrize("command", [{}, {"command": "true"}, {"command": []}])
-    def test_command_checker_without_command_list_names_key(self, section, command):
+    def test_command_checker_without_command_list_names_key(self, tmp_path, section, command):
+        # A command of the wrong type is refused at load; a missing one when the
+        # checker is built.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({section: {"type": "command", **command}}))
         with pytest.raises(ConfigurationError, match=f"{section}.command"):
-            cli._checker_from_spec({"type": "command", **command}, section)
+            cli._checker_from_config(load_engine_config(config_path, environ={}), section)
 
     def test_critic_file_of_another_kind_rejected(self, tmp_path):
         critics_dir = tmp_path / "critics"
@@ -471,6 +494,32 @@ class TestConfig:
         monkeypatch.setenv("CRITICPLAN_GENERATOR_URL", "http://elsewhere:9999")
         config = load_engine_config(config_path)
         assert config.generator["url"] == "http://elsewhere:9999"
+
+
+def _type_reads(source: str):
+    """(line, text) of each `"type"` or default type name written in `source`."""
+    words = {"type"} | {next(iter(types)) for types in config_mod._TYPES.values()}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in words:
+            yield node.lineno, node.value
+
+
+@pytest.mark.parametrize("source, reads", [
+    ('spec.get("type", "scripted")', True), ('config.critics["type"]', True),
+    ('mode or "trained"', True), ('kind == "http"', False),
+    ('section_type("critics", spec, mode)', False), ('"""A type."""', False),
+])
+def test_type_read_detector(source, reads):
+    assert bool(list(_type_reads(source))) is reads
+
+
+def test_only_config_reads_a_section_type():
+    """Each section's `type` and its default are resolved by `config.section_type` alone."""
+    package = Path(config_mod.__file__).parent
+    reads = [f"{path.name}:{line}: {text!r}" for path in sorted(package.glob("*.py"))
+             if path.name != "config.py"
+             for line, text in _type_reads(path.read_text(encoding="utf-8"))]
+    assert reads == []
 
 
 class TestLoadProblems:
@@ -927,6 +976,9 @@ class TestBatchFailures:
          "final_answer must be a string, got 5"),
         ({"problem_id": "p1", "task": "answer_match", "final_answer": None},
          "final_answer must be a string, got None"),
+        # A repeated id used to count its gain again: ["d1", "d1", "d1"] read nDCG@10 2.13.
+        ({"problem_id": "r1", "task": "retrieval_ranking", "doc_ids": ["d1", "d1", "d1"]},
+         "doc_ids must not repeat an id, got ['d1', 'd1', 'd1']"),
     ])
     def test_eval_rejects_a_wrong_typed_result(self, runner, tmp_path, record, message):
         config = _eval_workspace(tmp_path, [

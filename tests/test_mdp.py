@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from criticplan import mdp
+from criticplan.config import answer_detector_from_spec
 from criticplan.errors import (
     ContractViolationError,
     HorizonExceededError,
@@ -24,7 +25,6 @@ from criticplan.mdp import (
     State,
     SubGoal,
     action_space,
-    answer_detector_from_spec,
     apply,
     format_trajectory_log,
     is_terminal,
