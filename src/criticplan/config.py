@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import records
-from .critics import FeaturizerSpec, HttpCritic, train_reference_critic
+from .critics import FeaturizerSpec, HttpCritic, TrainingParams
 from .errors import ConfigurationError, ContractViolationError
 from .evaluation import ExternalCommandChecker
 from .generation import HttpGeneratorBackend, SamplingConfig
@@ -56,7 +56,7 @@ _TYPED_KEYS = tuple(
         ("retrieval", Bm25Params),
         ("mcts", MctsConfig),
         ("planner", PlannerConfig),
-        ("training", train_reference_critic),
+        ("training", TrainingParams),
         ("generator", HttpGeneratorBackend),
         ("critics", HttpCritic),
         ("critics", FeaturizerSpec),
@@ -151,7 +151,13 @@ class EngineConfig:
         self.planner_config()
         self.bm25_params()
         self.featurizer_spec()
-        _build("generator", HttpGeneratorBackend, base_url="", **present(self.generator, "retries"))
+        _build("training", TrainingParams, **self.training)
+        _build("generator", HttpGeneratorBackend, base_url="",
+               **present(self.generator, "retries", "timeout"))
+        _build("critics", HttpCritic, base_url="", **present(self.critics, "timeout"))
+        for section in ("oracle", "checker"):
+            _build(section, ExternalCommandChecker, command=(),
+                   **present(getattr(self, section), "timeout"))
 
     def path(self, name: str) -> Path:
         if name not in self.paths:

@@ -284,6 +284,10 @@ class HttpCritic:
     base_url: str
     timeout: float = 30.0
 
+    def __post_init__(self):
+        if not self.timeout > 0:
+            raise ContractViolationError(f"timeout must be > 0, got {self.timeout}")
+
     def score(self, ctx: CriticContext) -> float:
         payload = {
             "kind": ctx.kind.value,
@@ -328,17 +332,32 @@ class PreferencePair:
             )
 
 
+@dataclass(frozen=True)
+class TrainingParams:
+    """Gradient-descent settings of `train_reference_critic`."""
+
+    epochs: int = 200
+    learning_rate: float = 0.5
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ContractViolationError(f"epochs must be >= 0, got {self.epochs}")
+        if not self.learning_rate > 0:
+            raise ContractViolationError(f"learning_rate must be > 0, got {self.learning_rate}")
+
+
 def train_reference_critic(
     pairs: Sequence[PreferencePair],
     featurizer_spec: FeaturizerSpec = FeaturizerSpec(),
-    epochs: int = 200,
-    learning_rate: float = 0.5,
+    epochs: int = TrainingParams.epochs,
+    learning_rate: float = TrainingParams.learning_rate,
 ) -> LinearCritic:
     """Fit the linear scorer by full-batch gradient descent on mean pairwise loss.
 
     Deterministic: weights start at zero, so epochs = 0 returns a critic that
-    scores everything 0.
+    scores everything 0. `TrainingParams` refuses the settings out of range.
     """
+    TrainingParams(epochs, learning_rate)
     if not pairs:
         raise TrainingError("no pairs to train on")
     kinds = {p.kind for p in pairs}

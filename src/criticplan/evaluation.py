@@ -41,6 +41,10 @@ class ExternalCommandChecker:
     command: tuple[str, ...]
     timeout: float = 60.0
 
+    def __post_init__(self):
+        if not self.timeout > 0:
+            raise ContractViolationError(f"timeout must be > 0, got {self.timeout}")
+
     def check(self, problem: ProblemInstance, final_answer: str) -> bool:
         """Raises BackendError when the program cannot start or overruns `timeout`."""
         try:

@@ -54,7 +54,7 @@ class GeneratorBackend(Protocol):
     seeded model server gives (the CLI always sends an HTTP generator a seed).
     `run_mcts`, `solve` and `solve_for_ranking` rely on it: each wraps the
     backend in a `MemoizedGenerator` for one problem, so a repeated `sample`
-    is answered from memory, and MCTS reuses a node's first conclusion. The
+    or `conclude` is answered from memory, as MCTS's sub-goal nodes are. The
     operations here call a backend once and do not retry a `BackendError`; a
     backend with transient failures retries inside itself
     (`HttpGeneratorBackend.retries`).
@@ -126,13 +126,16 @@ def render_query_prompt(state: State) -> str:
 
 
 def render_conclusion_prompt(state: State) -> str:
-    """Problem statement followed by the full observation history.
+    """Problem statement followed by the observation history.
 
+    A trailing sub-goal marker is left out: the pending sub-goal has not been
+    executed, so it adds no evidence, and its state concludes as its parent's.
     With an empty trajectory the prompt is exactly the problem statement.
     """
-    parts = [state.problem.statement]
-    parts.extend(obs.text for obs in state.observations)
-    return "\n\n".join(parts)
+    observations = state.observations
+    if state.pending_subgoal() is not None:
+        observations = observations[:-1]
+    return "\n\n".join([state.problem.statement, *(obs.text for obs in observations)])
 
 
 def _strip_delimiters(text: str, begin: str, end: str) -> str:
@@ -229,17 +232,18 @@ def conclude(state: State, backend: GeneratorBackend) -> str:
 
 
 class MemoizedGenerator:
-    """A generator that sends each distinct `sample` request to `backend` once.
+    """A generator that sends each distinct request to `backend` once.
 
-    Replies are kept per (prompt, k, temperature) for the life of the wrapper,
-    which is one problem, and handed out as fresh lists. A failed request is
-    not kept, so the next identical request is sent again. `conclude` passes
-    through: its prompts do not repeat within a problem.
+    `sample` replies are kept per (prompt, k, temperature) and `conclude`
+    replies per prompt, for the life of the wrapper, which is one problem;
+    samples are handed out as fresh lists. A failed request is not kept, so
+    the next identical request is sent again.
     """
 
     def __init__(self, backend: GeneratorBackend):
         self.backend = backend
         self._samples: dict[tuple[str, int, float], tuple[str, ...]] = {}
+        self._conclusions: dict[str, str] = {}
 
     def sample(self, prompt: str, k: int, temperature: float) -> list[str]:
         key = (prompt, k, temperature)
@@ -248,7 +252,9 @@ class MemoizedGenerator:
         return list(self._samples[key])
 
     def conclude(self, prompt: str) -> str:
-        return self.backend.conclude(prompt)
+        if prompt not in self._conclusions:
+            self._conclusions[prompt] = self.backend.conclude(prompt)
+        return self._conclusions[prompt]
 
 
 # --------------------------------------------------------------------- backends
@@ -366,6 +372,8 @@ class HttpGeneratorBackend:
     def __post_init__(self):
         if self.retries < 0:
             raise ContractViolationError(f"retries must be >= 0, got {self.retries}")
+        if not self.timeout > 0:
+            raise ContractViolationError(f"timeout must be > 0, got {self.timeout}")
 
     def sample(self, prompt: str, k: int, temperature: float) -> list[str]:
         payload = {"prompt": prompt, "k": k, "temperature": temperature}

@@ -11,11 +11,13 @@ Each iteration runs the four classic phases:
                       prompt (transpositions: the rationale and query prompts
                       leave out the sub-goal markers); the run's memoized
                       generator sends each distinct `sample` request once.
-    Simulation:       conclude a final answer from the new node's state and
+    Simulation:       conclude a final answer from the new node's evidence and
                       score it against the gold label, once per node: a node
                       selected again (terminal or dead end) reuses its stored
-                      reward, which is sound because `conclude` is
-                      deterministic per prompt and the oracle is pure.
+                      reward. A sub-goal node adds no evidence, so it concludes
+                      as its parent did. `conclude` is deterministic per prompt
+                      and the oracle is pure, so the run asks each distinct
+                      conclusion and judges each distinct answer once.
     Backpropagation:  add the reward and a visit to every node on the path.
 
 The finished tree is mined for preference pairs: within every sibling group,
@@ -25,6 +27,7 @@ is rejected.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -168,14 +171,16 @@ def run_mcts(
     failure, once more than a quarter of all iterations aborted.
     `iteration_hook(root, i)` is invoked after each completed iteration
     (invariant checks, progress reporting).
-    `generator` is wrapped in a `MemoizedGenerator` for this run.
+    `generator` is wrapped in a `MemoizedGenerator` for this run, and
+    `oracle` judges each distinct answer once; a failed judgement is not kept.
     """
     generator = generation.MemoizedGenerator(generator)
+    judge = functools.cache(lambda answer: oracle.evaluate(problem, answer))
     root = TreeNode(state=root_state(problem, horizon=cfg.horizon))
     aborted = 0
     for i in range(cfg.iterations):
         try:
-            _run_iteration(root, generator, oracle, cfg, corpus, detector)
+            _run_iteration(root, generator, judge, cfg, corpus, detector)
         except BackendError as err:
             aborted += 1
             last_error = err
@@ -193,7 +198,7 @@ def run_mcts(
 def _run_iteration(
     root: TreeNode,
     generator: GeneratorBackend,
-    oracle: RewardOracle,
+    judge: Callable[[str], float],
     cfg: MctsConfig,
     corpus: retrieval.Corpus | None,
     detector: AnswerDetector,
@@ -212,7 +217,7 @@ def _run_iteration(
             action = node.pending.popleft()
             child = TreeNode(state=apply(node.state, action), parent=node)
             try:
-                reward_value = _simulate(child, generator, oracle)
+                reward_value = _simulate(child, generator, judge)
             except BackendError:
                 node.pending.appendleft(action)
                 raise
@@ -221,14 +226,13 @@ def _run_iteration(
             return
         if not node.children:
             node.dead = True
-    reward_value = _simulate(node, generator, oracle)
+    reward_value = _simulate(node, generator, judge)
     _backpropagate(node, reward_value)
 
 
-def _simulate(node: TreeNode, generator: GeneratorBackend, oracle: RewardOracle) -> float:
+def _simulate(node: TreeNode, generator: GeneratorBackend, judge: Callable[[str], float]) -> float:
     if node.reward is None:
-        answer = generation.conclude(node.state, generator)
-        node.reward = oracle.evaluate(node.state.problem, answer)
+        node.reward = judge(generation.conclude(node.state, generator))
     node.sim_count += 1
     return node.reward
 

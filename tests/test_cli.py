@@ -411,6 +411,15 @@ class TestConfig:
         ("sampling.temperature", {"sampling": {"temperature": math.inf}}),
         ("training.learning_rate", {"training": {"learning_rate": -math.inf}}),
         ("generator.timeout", {"generator": {"timeout": math.inf}}),
+        # Each non-positive timeout used to fail every request at run time.
+        ("generator.timeout must be > 0", {"generator": {"timeout": -1}}),
+        ("critics.timeout must be > 0", {"critics": {"timeout": 0.0}}),
+        ("oracle.timeout must be > 0", {"oracle": {"timeout": -5}}),
+        ("checker.timeout must be > 0", {"checker": {"timeout": 0}}),
+        # A negative epoch count wrote an all-zero critic; a negative rate climbs the loss.
+        ("training.epochs must be >= 0", {"training": {"epochs": -5}}),
+        ("training.learning_rate must be > 0", {"training": {"learning_rate": 0.0}}),
+        ("training.learning_rate must be > 0", {"training": {"learning_rate": -0.5}}),
     ])
     def test_invalid_value_names_config_key_at_load(self, tmp_path, key, config):
         config_path = tmp_path / "config.json"

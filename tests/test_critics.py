@@ -277,6 +277,17 @@ class TestTrainReferenceCritic:
         with pytest.raises(TrainingError):
             train_reference_critic([])
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"epochs": -5}, "epochs must be >= 0, got -5"),
+        ({"learning_rate": 0.0}, "learning_rate must be > 0, got 0.0"),
+        ({"learning_rate": -0.5}, "learning_rate must be > 0, got -0.5"),
+    ])
+    def test_out_of_range_settings_rejected(self, settings, message):
+        pairs = self._synthetic_pairs(4, random.Random(4))
+        with pytest.raises(ContractViolationError) as err:
+            train_reference_critic(pairs, **settings)
+        assert str(err.value) == message
+
     def test_mixed_kinds_rejected(self):
         pairs = [
             make_pair(CriticKind.RATIONALE, "a GOOD", "b BAD"),

@@ -31,7 +31,7 @@ from criticplan.generation import (
     sample_queries,
     sample_rationales,
 )
-from criticplan.mdp import ObservationKind, SubGoal, root_state
+from criticplan.mdp import ObservationKind, State, SubGoal, action_space, apply, root_state
 from criticplan.retrieval import build_index
 from tests.conftest import (
     advance_candidate,
@@ -128,6 +128,27 @@ class TestTemplates:
         prompt = render_conclusion_prompt(state_after_rationale)
         assert prompt.startswith(state_after_rationale.problem.statement)
         assert "the sum is computed by counting" in prompt
+
+    def test_pending_subgoal_adds_nothing_to_the_conclusion(self, problem, state_after_query):
+        after_doc = advance_candidate(advance_subgoal(state_after_query, SubGoal.RETRIEVING),
+                                      doc("one and one make two", "d1"))
+        assert len(action_space(state_after_query)) == len(SubGoal)
+        for state in (root_state(problem), state_after_query, after_doc):
+            for action in action_space(state):
+                assert render_conclusion_prompt(apply(state, action)) == \
+                    render_conclusion_prompt(state)
+
+    def test_conclusion_prompt_keeps_executed_markers(self, state_after_query):
+        state = advance_candidate(advance_subgoal(state_after_query, SubGoal.RETRIEVING),
+                                  doc("one and one make two", "d1"))
+        state = advance_subgoal(state, SubGoal.REASONING)
+        texts = [obs.text for obs in state.observations]
+        for length in range(len(texts) + 1):
+            prefix = State(state.problem, state.trajectory[:length], state.horizon)
+            # Every executed marker stays; an odd length ends in the pending one.
+            executed = texts[:length - length % 2]
+            assert render_conclusion_prompt(prefix) == "\n\n".join(
+                [state.problem.statement, *executed])
 
 
 class TestSampleRationales:

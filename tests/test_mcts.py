@@ -2,14 +2,20 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from decimal import Decimal, getcontext
 
 import pytest
 
 from criticplan.critics import CriticKind
 from criticplan.errors import BackendError, ContractViolationError, SearchRunError
-from criticplan.generation import SamplingConfig, ScriptedBackend, ScriptedRule
+from criticplan.generation import (
+    SamplingConfig,
+    ScriptedBackend,
+    ScriptedRule,
+    conclude,
+    render_conclusion_prompt,
+)
 from criticplan.mcts import (
     CheckerOracle,
     MctsConfig,
@@ -195,14 +201,29 @@ class TestRunMcts:
 class CountingConcludeBackend:
     def __init__(self, inner):
         self.inner = inner
-        self.conclude_calls = 0
+        self.prompts: Counter[str] = Counter()
+
+    @property
+    def conclude_calls(self):
+        return sum(self.prompts.values())
 
     def sample(self, prompt, k, temperature):
         return self.inner.sample(prompt, k, temperature)
 
     def conclude(self, prompt):
-        self.conclude_calls += 1
+        self.prompts[prompt] += 1
         return self.inner.conclude(prompt)
+
+
+class CountingOracle:
+    """`CheckerOracle`, counting the answers it is asked to judge."""
+
+    def __init__(self):
+        self.answers: Counter[str] = Counter()
+
+    def evaluate(self, problem, final_answer):
+        self.answers[final_answer] += 1
+        return CheckerOracle().evaluate(problem, final_answer)
 
 
 class FailOnRepeatBackend(CountingConcludeBackend):
@@ -226,25 +247,87 @@ def node_stats(root):
     ]
 
 
-def run_reasoning_toy(wrap):
+def run_reasoning_toy(wrap, oracle=None):
     toy = reasoning_toy(1, n_candidates=2)
     backend = wrap(toy.backend)
     cfg = MctsConfig(iterations=64, sampling=SamplingConfig(k=2), horizon=toy.horizon)
-    return run_mcts(toy.problems[0], backend, CheckerOracle(), cfg), backend
+    return run_mcts(toy.problems[0], backend, oracle or CheckerOracle(), cfg), backend
+
+
+def simulated_prompts(root):
+    """The simulated nodes and the distinct conclusion prompts among them."""
+    simulated = [node for node in root.walk() if node.sim_count >= 1]
+    return simulated, {render_conclusion_prompt(node.state) for node in simulated}
 
 
 class TestSimulateOncePerNode:
-    def test_one_conclude_per_simulated_node(self):
+    def test_one_conclude_per_evidence_state(self):
         root, backend = run_reasoning_toy(CountingConcludeBackend)
-        simulated = [node for node in root.walk() if node.sim_count >= 1]
+        simulated, prompts = simulated_prompts(root)
         # Terminal and dead-end nodes are selected again and again.
         assert sum(node.sim_count for node in simulated) > len(simulated)
-        assert backend.conclude_calls == len(simulated)
+        # A sub-goal node concludes from its parent's evidence.
+        assert backend.conclude_calls == len(prompts) < len(simulated)
 
     def test_repeats_never_reach_the_backend(self):
         plain, _ = run_reasoning_toy(lambda inner: inner)
         strict, _ = run_reasoning_toy(FailOnRepeatBackend)
         assert node_stats(strict) == node_stats(plain)
+
+
+class TestConclusionMemo:
+    def test_one_conclude_per_evidence_state_on_lookup(self):
+        toy = lookup_toy(1, horizon=24)
+        backend = CountingConcludeBackend(toy.backend)
+        cfg = MctsConfig(iterations=256, sampling=SamplingConfig(k=2), horizon=24)
+        root = run_mcts(toy.problems[0], backend, CheckerOracle(), cfg,
+                        corpus=build_index(toy.corpus_documents))
+        simulated, prompts = simulated_prompts(root)
+        assert backend.conclude_calls == len(prompts) < len(simulated)
+
+    def test_failed_conclusion_is_asked_again(self, problem):
+        class FirstConcludeFails(CountingConcludeBackend):
+            def conclude(self, prompt):
+                reply = super().conclude(prompt)
+                if self.conclude_calls == 1:
+                    raise BackendError("transient")
+                return reply
+
+        backend = FirstConcludeFails(constant_backend())
+        root = run_mcts(problem, backend, ConstantOracle(0.0), toy_config(iterations=8))
+        simulated, prompts = simulated_prompts(root)
+        # The failed prompt went out twice, every other distinct prompt once.
+        assert sorted(backend.prompts.values())[-1] == 2
+        assert backend.conclude_calls == len(prompts) + 1
+        assert len(prompts) < len(simulated) and root.n == 7
+
+
+class TestJudgeOncePerAnswer:
+    def test_each_answer_is_judged_once(self):
+        plain, _ = run_reasoning_toy(lambda inner: inner)
+        oracle = CountingOracle()
+        root, backend = run_reasoning_toy(lambda inner: inner, oracle)
+        assert node_stats(root) == node_stats(plain)
+        assert set(oracle.answers.values()) == {1}
+        simulated, _ = simulated_prompts(root)
+        assert len(oracle.answers) < len(simulated)
+        # Each node's reward is what judging its own conclusion gives.
+        for node in simulated:
+            assert node.reward == CheckerOracle().evaluate(
+                node.state.problem, conclude(node.state, backend))
+
+    def test_failed_judgement_is_asked_again(self, problem):
+        class FirstJudgementFails(CountingOracle):
+            def evaluate(self, problem, final_answer):
+                reward = super().evaluate(problem, final_answer)
+                if sum(self.answers.values()) == 1:
+                    raise BackendError("transient")
+                return reward
+
+        oracle = FirstJudgementFails()
+        root = run_mcts(problem, constant_backend(), oracle, toy_config(iterations=8))
+        assert oracle.answers == {"nope": 2}
+        assert root.n == 7
 
 
 class TestSampleMemo:
