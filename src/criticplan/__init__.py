@@ -10,7 +10,7 @@ from .critics import (
     CriticBackend,
     CriticContext,
     CriticKind,
-    FeaturizerSpec,
+    HashedTextFeaturizer,
     LinearCritic,
     PreferencePair,
     export_pairs,

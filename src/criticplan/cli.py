@@ -21,7 +21,7 @@ from . import critics as critics_mod
 from . import evaluation, generation, mcts, planner, records, retrieval
 from .config import _TYPES, EngineConfig, load_engine_config, present, section_type
 from .critics import CriticKind, LinearCritic, critic_filename, import_pairs, pairs_filename
-from .errors import ConfigurationError, CriticPlanError, IngestionError
+from .errors import ConfigurationError, CriticPlanError, IngestionError, TrainingError
 from .mdp import ProblemInstance, SubGoal, TaskKind, format_trajectory_log
 
 
@@ -218,11 +218,10 @@ def train_critic(ctx: click.Context, kind: str):
     stray = next((pair for pair in pairs if pair.kind is not critic_kind), None)
     if stray is not None:
         raise ConfigurationError(f"{pairs_path}: holds a {stray.kind.value} pair")
-    critic = critics_mod.train_reference_critic(
-        pairs,
-        featurizer_spec=config.featurizer_spec(),
-        **config.training,
-    )
+    try:
+        critic = critics_mod.train_reference_critic(pairs, config.featurizer(), **config.training)
+    except TrainingError as err:
+        raise TrainingError(f"{pairs_path}: {err}") from err
     out_path = config.path("critics_dir") / critic_filename(critic_kind)
     critic.save(out_path)
     click.echo(f"critic written: {out_path}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import records
-from .critics import FeaturizerSpec, HttpCritic, TrainingParams
+from .critics import HashedTextFeaturizer, HttpCritic, TrainingParams
 from .errors import ConfigurationError, ContractViolationError
 from .evaluation import ExternalCommandChecker
 from .generation import HttpGeneratorBackend, SamplingConfig
@@ -59,7 +59,7 @@ _TYPED_KEYS = tuple(
         ("training", TrainingParams),
         ("generator", HttpGeneratorBackend),
         ("critics", HttpCritic),
-        ("critics", FeaturizerSpec),
+        ("critics", HashedTextFeaturizer),
         ("oracle", ExternalCommandChecker),
         ("checker", ExternalCommandChecker),
         ("answer_detector", SentinelAnswerDetector),
@@ -150,7 +150,7 @@ class EngineConfig:
         self.mcts_config()
         self.planner_config()
         self.bm25_params()
-        self.featurizer_spec()
+        self.featurizer()
         _build("training", TrainingParams, **self.training)
         _build("generator", HttpGeneratorBackend, base_url="",
                **present(self.generator, "retries", "timeout"))
@@ -167,8 +167,8 @@ class EngineConfig:
     def bm25_params(self) -> Bm25Params:
         return _build("retrieval", Bm25Params, **self.retrieval)
 
-    def featurizer_spec(self) -> FeaturizerSpec:
-        return _build("critics", FeaturizerSpec, **present(self.critics, "dim"))
+    def featurizer(self) -> HashedTextFeaturizer:
+        return _build("critics", HashedTextFeaturizer, **present(self.critics, "dim"))
 
     def sampling_config(self) -> SamplingConfig:
         return _build("sampling", SamplingConfig, **self.sampling)

@@ -185,63 +185,46 @@ class ConstantCritic:
         return self.value
 
 
-@dataclass(frozen=True)
-class FeaturizerSpec:
-    dim: int = 4096
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ContractViolationError("dim must be >= 2")
-
-
 def _bucket_ids(dim: int, text: str) -> tuple[int, ...]:
     """crc32(utf-8 token) % dim for each token of `text`, with the loop run by `map` in C."""
     return tuple(map(dim.__rmod__, map(zlib.crc32, map(str.encode, text.lower().split()))))
 
 
 class HashedTextFeaturizer:
-    """Hashed bag-of-words over the concatenated context and candidate text.
+    """Hashed bag-of-words over a critic context: its texts and its candidate's.
 
-    Token hashing uses crc32 so features are stable across processes. Each
-    instance keeps the bucket ids of its last 4096 distinct texts, so context
-    sent again with every candidate and step is not hashed again.
+    `features` is the one map from a context to buckets; scoring and training
+    both call it. Token hashing uses crc32 so features are stable across
+    processes. Each instance keeps the bucket ids of its last 4096 distinct
+    texts, so context sent again with every candidate and step is not hashed
+    again.
     """
 
-    def __init__(self, spec: FeaturizerSpec):
-        self.spec = spec
-        self.bucket_ids = lru_cache(maxsize=4096)(partial(_bucket_ids, spec.dim))
+    def __init__(self, dim: int = 4096):
+        if dim < 2:
+            raise ContractViolationError("dim must be >= 2")
+        self.dim = dim
+        self.bucket_ids = lru_cache(maxsize=4096)(partial(_bucket_ids, dim))
 
-    def counts(self, texts: Iterable[str]) -> Counter:
-        """Token count per bucket over all of `texts`."""
+    def features(self, ctx: CriticContext) -> Counter:
+        """Token count per bucket over the context texts and the candidate text."""
+        texts = [obs.text for obs in ctx.context_observations] + [ctx.candidate.text]
         return Counter(chain.from_iterable(map(self.bucket_ids, texts)))
-
-    def sparse(self, texts: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Nonzero buckets of `texts`: increasing int64 indices, float64 counts."""
-        counts = self.counts(texts)
-        indices = np.fromiter(counts, np.int64, len(counts))
-        order = indices.argsort()
-        return indices[order], np.fromiter(counts.values(), np.float64, len(counts))[order]
 
 
 class LinearCritic:
-    """Linear scorer over hashed features; the reference trainable critic."""
+    """Linear scorer over `len(weights)` hashed buckets; the reference trainable critic."""
 
-    def __init__(
-        self,
-        kind: CriticKind,
-        weights: np.ndarray,
-        featurizer: HashedTextFeaturizer,
-        training_loss: tuple[float, ...] = (),
-    ):
+    def __init__(self, kind: CriticKind, weights: np.ndarray,
+                 training_loss: tuple[float, ...] = ()):
         self.kind = kind
         self.weights = weights
-        self.featurizer = featurizer
+        self.featurizer = HashedTextFeaturizer(len(weights))
         self.training_loss = training_loss
 
     def score(self, ctx: CriticContext) -> float:
         """Sum of count x weight over its buckets, rounded once: no BLAS or order effects."""
-        texts = [obs.text for obs in ctx.context_observations] + [ctx.candidate.text]
-        counts = self.featurizer.counts(texts)
+        counts = self.featurizer.features(ctx)
         weights = self.weights[np.fromiter(counts, np.int64, len(counts))].tolist()
         return math.fsum(map(operator.mul, counts.values(), weights))
 
@@ -250,7 +233,7 @@ class LinearCritic:
             "format": CRITIC_HEADER[0],
             "version": CRITIC_HEADER[1],
             "kind": self.kind.value,
-            "dim": self.featurizer.spec.dim,
+            "dim": self.featurizer.dim,
             "weights": self.weights.tolist(),
         }
         records.write(path, records.dumps(payload) + "\n")
@@ -266,11 +249,7 @@ class LinearCritic:
             raise ValueError(f"{weights.size} weights for dim {data['dim']}")
         if not np.isfinite(weights).all():
             raise ValueError("weights must be finite numbers")
-        return cls(
-            kind=CriticKind(data["kind"]),
-            weights=weights,
-            featurizer=HashedTextFeaturizer(FeaturizerSpec(dim=data["dim"])),
-        )
+        return cls(kind=CriticKind(data["kind"]), weights=weights)
 
 
 @dataclass(frozen=True)
@@ -348,14 +327,17 @@ class TrainingParams:
 
 def train_reference_critic(
     pairs: Sequence[PreferencePair],
-    featurizer_spec: FeaturizerSpec = FeaturizerSpec(),
+    featurizer: HashedTextFeaturizer | None = None,
     epochs: int = TrainingParams.epochs,
     learning_rate: float = TrainingParams.learning_rate,
 ) -> LinearCritic:
     """Fit the linear scorer by full-batch gradient descent on mean pairwise loss.
 
+    A pair's row is `features` of its chosen context minus `features` of its
+    rejected one; the default featurizer is `HashedTextFeaturizer()`.
     Deterministic: weights start at zero, so epochs = 0 returns a critic that
-    scores everything 0. `TrainingParams` refuses the settings out of range.
+    scores everything 0. `TrainingParams` refuses the settings out of range,
+    and a TrainingError is raised when every row is zero.
     """
     TrainingParams(epochs, learning_rate)
     if not pairs:
@@ -363,21 +345,22 @@ def train_reference_critic(
     kinds = {p.kind for p in pairs}
     if len(kinds) != 1:
         raise TrainingError(f"pairs must share one kind, got {sorted(k.value for k in kinds)}")
-    if all(p.chosen.text == p.rejected.text for p in pairs):
-        raise TrainingError("all pairs are degenerate (chosen text equals rejected text)")
     kind = next(iter(kinds))
-    featurizer = HashedTextFeaturizer(featurizer_spec)
-    dim, n = featurizer_spec.dim, len(pairs)
-    # CSR rows of the chosen - rejected diffs; the shared context cancels exactly.
+    featurizer = featurizer or HashedTextFeaturizer()
+    dim, n = featurizer.dim, len(pairs)
+    # CSR rows of the chosen - rejected feature diffs; the shared context cancels
+    # by subtraction, and the zeros it leaves are dropped below.
     keys, signed = [], []
     for row, pair in enumerate(pairs):
-        for text, sign in ((pair.chosen.text, 1.0), (pair.rejected.text, -1.0)):
-            indices, counts = featurizer.sparse([text])
-            keys.append(row * dim + indices)
-            signed.append(sign * counts)
+        diff = featurizer.features(_pair_context(pair, chosen=True))
+        diff.subtract(featurizer.features(_pair_context(pair, chosen=False)))
+        keys.append(row * dim + np.fromiter(diff, np.int64, len(diff)))
+        signed.append(np.fromiter(diff.values(), np.float64, len(diff)))
     keys, where = np.unique(np.concatenate(keys), return_inverse=True)
     vals = np.bincount(where, np.concatenate(signed))
     keep = vals != 0.0
+    if not keep.any():
+        raise TrainingError("all pairs are degenerate (chosen and rejected features are equal)")
     (rows, cols), vals = np.divmod(keys[keep], dim), vals[keep]
     weights = np.zeros(dim, dtype=np.float64)
     history = []
@@ -388,8 +371,7 @@ def train_reference_critic(
         weights -= learning_rate * (np.bincount(cols, vals * coef[rows], minlength=dim) / n)
     margins = np.bincount(rows, vals * weights[cols], minlength=n)
     history.append(float(np.mean(np.logaddexp(0.0, -margins))))
-    return LinearCritic(kind=kind, weights=weights, featurizer=featurizer,
-                        training_loss=tuple(history))
+    return LinearCritic(kind=kind, weights=weights, training_loss=tuple(history))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -47,9 +47,12 @@ def write(path, data: str | bytes | Iterable[bytes]) -> None:
     `path`, and `os.replace` moves it over `path`. A failed or interrupted
     write leaves any previous file intact and removes the temporary file. It
     does not fsync, so it covers a failed process, not a machine crash. An
-    OSError is raised again as an OutputError whose message starts with `path`.
+    OSError, or a path with no file name ("", ".", "/"), is raised as an
+    OutputError whose message starts with `path`.
     """
     path = Path(path)
+    if not path.name:
+        raise OutputError(f"{path}: names no file")
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -26,8 +26,6 @@ from criticplan.config import load_engine_config
 from criticplan.critics import (
     CriticContext,
     CriticKind,
-    FeaturizerSpec,
-    HashedTextFeaturizer,
     HttpCritic,
     LinearCritic,
     PreferencePair,
@@ -40,6 +38,7 @@ from criticplan.errors import (
     CriticPlanError,
     IngestionError,
     OutputError,
+    TrainingError,
 )
 from criticplan.evaluation import ExternalCommandChecker
 from criticplan.generation import HttpGeneratorBackend, SamplingConfig
@@ -317,6 +316,23 @@ class TestOutputFiles:
         assert stderr.startswith(f"error: {target}: ")
         assert "Traceback" not in stderr
 
+    # A path that names no file is refused before anything is written.
+    @pytest.mark.parametrize("index_path", ["", "."])
+    def test_index_path_naming_no_file_is_refused(self, tmp_path, monkeypatch, capsys,
+                                                  index_path):
+        config = Path(mixed_suite(tmp_path))
+        data = json.loads(config.read_text())
+        data["paths"]["index_path"] = index_path
+        config.write_text(json.dumps(data))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["criticplan", "--config", str(config), "index"])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run()
+        assert exit_info.value.code == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"error: {Path(index_path)}: ")
+        assert "Traceback" not in stderr
+
 
 class TestConfig:
     def test_unknown_key_rejected(self, runner, tmp_path):
@@ -485,10 +501,9 @@ class TestConfig:
     def test_critic_file_of_another_kind_rejected(self, tmp_path):
         critics_dir = tmp_path / "critics"
         critics_dir.mkdir()
-        featurizer = HashedTextFeaturizer(FeaturizerSpec(dim=8))
         for kind in CriticKind:
             stored = CriticKind.DOC if kind is CriticKind.QUERY else kind
-            LinearCritic(stored, np.zeros(8), featurizer).save(
+            LinearCritic(stored, np.zeros(8)).save(
                 critics_dir / f"critic_{kind.value}.json"
             )
         config_path = tmp_path / "config.json"
@@ -683,6 +698,17 @@ class TestTrainCommand:
         assert str(result.exception) == f"{pairs_path}: holds a doc pair"
         assert not (tmp_path / "critics" / "critic_rationale.json").exists()
 
+    def test_refused_training_names_the_pair_file(self, runner, tmp_path):
+        config = mixed_suite(tmp_path)
+        same = Observation(ObservationKind.RATIONALE, "same text")
+        export_pairs([PreferencePair(CriticKind.RATIONALE, "p", (), same, same, 1.0, 0.0, 1, 1)],
+                     tmp_path / "pairs")
+        pairs_path = tmp_path / "pairs" / "pairs_rationale.jsonl"
+        result = runner.invoke(main, ["--config", config, "train-critic", "rationale"])
+        assert isinstance(result.exception, TrainingError)
+        assert str(result.exception).startswith(f"{pairs_path}: all pairs are degenerate")
+        assert not (tmp_path / "critics" / "critic_rationale.json").exists()
+
     def test_trains_and_reports(self, runner, tmp_path):
         config = mixed_suite(tmp_path)
         run_cli(runner, config, "index")
@@ -758,11 +784,10 @@ class TestSolveAndEval:
             if hasattr(critic, "save"):
                 critic.save(critics_dir / f"critic_{kind.value}.json")
             else:
-                from criticplan.critics import FeaturizerSpec, HashedTextFeaturizer, LinearCritic
+                from criticplan.critics import LinearCritic
                 import numpy as np
 
-                spec = FeaturizerSpec(dim=64)
-                LinearCritic(kind, np.zeros(64), HashedTextFeaturizer(spec)).save(
+                LinearCritic(kind, np.zeros(64)).save(
                     critics_dir / f"critic_{kind.value}.json"
                 )
         run_cli(runner, config, "index")

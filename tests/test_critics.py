@@ -18,7 +18,6 @@ from criticplan.critics import (
     ConstantCritic,
     CriticContext,
     CriticKind,
-    FeaturizerSpec,
     HashedTextFeaturizer,
     LinearCritic,
     PreferencePair,
@@ -301,6 +300,13 @@ class TestTrainReferenceCritic:
         with pytest.raises(TrainingError):
             train_reference_critic(pairs)
 
+    def test_pairs_with_equal_features_rejected(self):
+        # Texts that differ only in case, spacing or word order hash alike.
+        pairs = [make_pair(CriticKind.RATIONALE, "Alpha beta", "beta alpha"),
+                 make_pair(CriticKind.RATIONALE, "gamma  delta", "Gamma delta")]
+        with pytest.raises(TrainingError, match="features are equal"):
+            train_reference_critic(pairs)
+
     def test_save_load_round_trip(self, tmp_path):
         pairs = self._synthetic_pairs(20, random.Random(4))
         critic = train_reference_critic(pairs, epochs=40)
@@ -333,32 +339,37 @@ class TestTrainReferenceCritic:
             LinearCritic.load(path)
 
 
-def dense_vector(spec: FeaturizerSpec, texts) -> np.ndarray:
+def dense_vector(dim: int, texts) -> np.ndarray:
     """Reference featurizer: a full `dim` vector of hashed token counts."""
-    v = np.zeros(spec.dim, dtype=np.float64)
+    v = np.zeros(dim, dtype=np.float64)
     for text in texts:
         for token in text.lower().split():
-            v[zlib.crc32(token.encode("utf-8")) % spec.dim] += 1.0
+            v[zlib.crc32(token.encode("utf-8")) % dim] += 1.0
     return v
 
 
-def dense_context_vector(spec: FeaturizerSpec, ctx: CriticContext) -> np.ndarray:
-    return dense_vector(spec, [o.text for o in ctx.context_observations] + [ctx.candidate.text])
+def dense_context_vector(dim: int, ctx: CriticContext) -> np.ndarray:
+    return dense_vector(dim, [o.text for o in ctx.context_observations] + [ctx.candidate.text])
 
 
-def dense_train(pairs, spec: FeaturizerSpec, epochs: int, learning_rate: float,
+def dense_diffs(pairs, dim: int) -> np.ndarray:
+    """The `pairs x dim` matrix of chosen - rejected dense feature vectors."""
+
+    def side(pair, candidate):
+        return dense_vector(dim, [o.text for o in pair.context_observations] + [candidate.text])
+
+    return np.stack([side(p, p.chosen) - side(p, p.rejected) for p in pairs])
+
+
+def dense_train(pairs, dim: int, epochs: int, learning_rate: float,
                 dtype=np.float64):
     """Reference trainer: full-batch descent over the dense `pairs x dim` diff matrix.
 
     With `dtype=np.longdouble` it runs the same descent in extended precision
     (where the platform has it), a yardstick for the float64 trainers' rounding.
     """
-
-    def side(pair, candidate):
-        return dense_vector(spec, [o.text for o in pair.context_observations] + [candidate.text])
-
-    diffs = np.stack([side(p, p.chosen) - side(p, p.rejected) for p in pairs]).astype(dtype)
-    weights = np.zeros(spec.dim, dtype=dtype)
+    diffs = dense_diffs(pairs, dim).astype(dtype)
+    weights = np.zeros(dim, dtype=dtype)
     history = []
     for _ in range(epochs):
         margins = diffs @ weights
@@ -385,25 +396,25 @@ _AMPLIFYING = (CriticKind.QUERY, [([], "", ""), ([], "", "alpha " * 6 + "Beta"),
 
 
 def _oracle_score(critic: LinearCritic, ctx: CriticContext) -> float:
-    """The score formula over `sparse`, from a fresh featurizer (a cold cache)."""
-    indices, counts = HashedTextFeaturizer(critic.featurizer.spec).sparse(
-        [o.text for o in ctx.context_observations] + [ctx.candidate.text])
-    return math.fsum((counts * critic.weights[indices]).tolist())
+    """The score formula over `features`, from a fresh featurizer (a cold cache)."""
+    counts = HashedTextFeaturizer(critic.featurizer.dim).features(ctx)
+    return math.fsum(count * critic.weights[bucket] for bucket, count in counts.items())
 
 
 class TestSparseFeatures:
     """The sparse featurizer, trainer and scorer against the dense references."""
 
-    @given(_dims, st.lists(_texts, max_size=4))
+    @given(_dims, st.lists(_texts, max_size=3), _texts)
     @settings(max_examples=150, deadline=None)
-    def test_sparse_is_the_dense_vectors_nonzeros(self, dim, texts):
-        spec = FeaturizerSpec(dim=dim)
-        indices, counts = HashedTextFeaturizer(spec).sparse(texts)
-        dense = dense_vector(spec, texts)
-        assert indices.dtype == np.int64 and counts.dtype == np.float64
-        assert (np.diff(indices) > 0).all()
-        assert indices.tolist() == np.flatnonzero(dense).tolist()
-        assert counts.tolist() == dense[indices].tolist()
+    def test_sparse_is_the_dense_vectors_nonzeros(self, dim, context, candidate):
+        ctx = CriticContext(
+            CriticKind.RATIONALE, "", tuple(rationale(t) for t in context), rationale(candidate)
+        )
+        features = HashedTextFeaturizer(dim).features(ctx)
+        dense = dense_context_vector(dim, ctx)
+        indices = sorted(features)
+        assert indices == np.flatnonzero(dense).tolist()
+        assert [features[i] for i in indices] == dense[indices].tolist()
 
     @given(
         _pair_sets,
@@ -420,14 +431,13 @@ class TestSparseFeatures:
             make_pair(kind, chosen, rejected, context=[rationale(t) for t in context])
             for context, chosen, rejected in raw
         ]
-        assume(any(p.chosen.text != p.rejected.text for p in pairs))
-        spec = FeaturizerSpec(dim=dim)
-        critic = train_reference_critic(pairs, spec, epochs, learning_rate)
+        assume(dense_diffs(pairs, dim).any())
+        critic = train_reference_critic(pairs, HashedTextFeaturizer(dim), epochs, learning_rate)
         assert len(critic.training_loss) == epochs + 1
         # The sparse trainer must be about as close to the extended-precision
         # descent as the dense oracle is, in either pair order (two roundings).
-        exact = dense_train(pairs, spec, epochs, learning_rate, np.longdouble)
-        oracles = [dense_train(order, spec, epochs, learning_rate)
+        exact = dense_train(pairs, dim, epochs, learning_rate, np.longdouble)
+        oracles = [dense_train(order, dim, epochs, learning_rate)
                    for order in (pairs, pairs[::-1])]
         for i, trained in enumerate((critic.weights, critic.training_loss)):
             errors = [np.abs(np.subtract(values, exact[i], dtype=np.longdouble)).max()
@@ -439,19 +449,18 @@ class TestSparseFeatures:
         for pair in pairs:
             for candidate in (pair.chosen, pair.rejected):
                 ctx = CriticContext(kind, "", pair.context_observations, candidate)
-                dense = float(critic.weights @ dense_context_vector(spec, ctx))
+                dense = float(critic.weights @ dense_context_vector(dim, ctx))
                 assert abs(critic.score(ctx) - dense) <= 1e-12
 
     @given(_dims, st.lists(_texts, max_size=4), _texts, st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_score_matches_dense_dot(self, dim, context, candidate, seed):
-        spec = FeaturizerSpec(dim=dim)
         weights = np.random.default_rng(seed).normal(size=dim)
-        critic = LinearCritic(CriticKind.RATIONALE, weights, HashedTextFeaturizer(spec))
+        critic = LinearCritic(CriticKind.RATIONALE, weights)
         ctx = CriticContext(
             CriticKind.RATIONALE, "", tuple(rationale(t) for t in context), rationale(candidate)
         )
-        assert abs(critic.score(ctx) - float(weights @ dense_context_vector(spec, ctx))) <= 1e-12
+        assert abs(critic.score(ctx) - float(weights @ dense_context_vector(dim, ctx))) <= 1e-12
 
     @given(_dims, st.lists(_texts, max_size=4), _texts, st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
@@ -460,8 +469,7 @@ class TestSparseFeatures:
         # rounded, or a product that differs in its last bit, shows.
         rng = np.random.default_rng(seed)
         weights = rng.normal(size=dim) * 10.0 ** rng.integers(-15, 16, size=dim)
-        featurizer = HashedTextFeaturizer(FeaturizerSpec(dim))
-        critic = LinearCritic(CriticKind.SUBGOAL, weights, featurizer)
+        critic = LinearCritic(CriticKind.SUBGOAL, weights)
         ctx = CriticContext(
             CriticKind.SUBGOAL, "", tuple(rationale(t) for t in context), rationale(candidate)
         )
@@ -472,7 +480,7 @@ class TestSparseFeatures:
 
 def _linear_critic(dim: int = 64) -> LinearCritic:
     weights = np.random.default_rng(0).normal(size=dim)
-    return LinearCritic(CriticKind.SUBGOAL, weights, HashedTextFeaturizer(FeaturizerSpec(dim)))
+    return LinearCritic(CriticKind.SUBGOAL, weights)
 
 
 def _trajectory_contexts(steps: int) -> list[CriticContext]:

@@ -23,7 +23,7 @@ from criticplan.critics import (
     import_pairs,
     pairs_filename,
 )
-from criticplan.errors import CriticPlanError
+from criticplan.errors import CriticPlanError, OutputError
 from criticplan.evaluation import load_judgments
 from criticplan.generation import ScriptedBackend
 from criticplan.mdp import Observation, ObservationKind
@@ -177,6 +177,15 @@ def test_chunks_that_fail_midway_keep_the_previous_file(tmp_path):
         records.write(path, chunks())
     assert path.read_bytes() == b"previous"
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("path", ["", ".", "/"])
+def test_path_naming_no_file_is_an_output_error(tmp_path, monkeypatch, path):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(OutputError) as err:
+        records.write(path, "data")
+    assert str(err.value).startswith(f"{Path(path)}: ")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("name, text, where", list(_malformed_files()))
