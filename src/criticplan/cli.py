@@ -21,7 +21,7 @@ from . import critics as critics_mod
 from . import evaluation, generation, mcts, planner, records, retrieval
 from .config import _TYPES, EngineConfig, load_engine_config, present, section_type
 from .critics import CriticKind, LinearCritic, critic_filename, import_pairs, pairs_filename
-from .errors import ConfigurationError, CriticPlanError, IngestionError, TrainingError
+from .errors import ConfigurationError, CriticPlanError, IngestionError, OutputError, TrainingError
 from .mdp import ProblemInstance, SubGoal, TaskKind, format_trajectory_log
 
 
@@ -103,10 +103,13 @@ def _run_batch(ctx: click.Context, problems, run_one) -> list[tuple[ProblemInsta
 
     A run that raises a CriticPlanError gives the error as its result, and
     `skipped <id>: <error>` is printed to stderr; the other problems go on.
+    An OutputError is the command's own file failing, not the problem: it ends the batch.
     """
     def attempt(problem: ProblemInstance):
         try:
             return run_one(problem)
+        except OutputError:
+            raise
         except CriticPlanError as err:
             return err
 
@@ -182,21 +185,19 @@ def collect(ctx: click.Context):
     corpus = _load_corpus(config)
     cfg = config.mcts_config()
     detector = config.planner_config().answer_detector
+    trees_dir = config.path("output_dir") / "trees"
 
     def run_one(problem: ProblemInstance):
+        # The tree is written as its search ends, so no finished tree waits for the batch.
         root = mcts.run_mcts(
             problem, generator, oracle, cfg, corpus=corpus, detector=detector
         )
-        return root, mcts.extract_pairs(root)
+        mcts.dump_tree(root, trees_dir / f"{problem.problem_id}.tree.jsonl")
+        return mcts.extract_pairs(root)
 
     batch = _run_batch(ctx, problems, run_one)
-    trees_dir = config.path("output_dir") / "trees"
-    all_pairs = []
-    for problem, result in batch:
-        if not isinstance(result, CriticPlanError):
-            root, pair_map = result
-            mcts.dump_tree(root, trees_dir / f"{problem.problem_id}.tree.jsonl")
-            all_pairs.extend(pair for pairs in pair_map.values() for pair in pairs)
+    all_pairs = [pair for _, result in batch if not isinstance(result, CriticPlanError)
+                 for pairs in result.values() for pair in pairs]
     counts = critics_mod.export_pairs(all_pairs, config.path("pairs_dir"))
     for kind in CriticKind:
         click.echo(f"pairs[{kind.value}]: {counts[kind]}")

@@ -122,9 +122,12 @@ class TreeNode:
         return self.pending is not None and not self.pending
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """The subtree's nodes in preorder, on an explicit stack: any depth walks."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 def ucb1(v: float, n: int, parent_n: int, c: float) -> float:
@@ -291,6 +294,7 @@ def extract_pairs(root: TreeNode) -> dict[CriticKind, list[PreferencePair]]:
 
 def dump_tree(root: TreeNode, path) -> None:
     """Write one JSON line per node (preorder ids) after a timestamp header."""
+    digest = functools.cache(text_digest)  # siblings and repeats share texts
     ids: dict[int, int] = {}
     nodes = []
     for node_id, node in enumerate(root.walk()):
@@ -299,7 +303,7 @@ def dump_tree(root: TreeNode, path) -> None:
             "node": node_id,
             "parent": ids[id(node.parent)] if node.parent is not None else None,
             "kind": node.observation.kind.value if node.observation else "root",
-            "digest": text_digest(node.observation.text) if node.observation else "",
+            "digest": digest(node.observation.text) if node.observation else "",
             "v": node.v,
             "n": node.n,
         })

@@ -6,8 +6,10 @@ computed once at build time into compressed sparse rows, so scoring a query is
 a gather of its terms' rows plus one `np.bincount` accumulation. The build
 maps every token to an integer term id and makes one sort of (term row,
 document) keys, which yields the postings in row order and their term
-frequencies. Each document sums its contributions in query-term order, as a
-loop over postings would, so scores are bit-identical to the scalar formula.
+frequencies; the contributions are then computed a fixed-size slice of postings
+at a time, so only one slice's temporaries are live beside the kept arrays.
+Each document sums its contributions in query-term order, as a loop over
+postings would, so scores are bit-identical to the scalar formula.
 The index is immutable after build and persists to a versioned binary format
 (header, JSON metadata line, raw arrays, texts) whose bytes are a pure function
 of the inputs. A loaded index maps the file and decodes a text when it is read.
@@ -41,6 +43,7 @@ from .mdp import Observation, ObservationKind
 
 INDEX_MAGIC = "criticplan-bm25-index"
 INDEX_VERSION = 3
+_SCORE_SLICE = 1 << 16  # postings scored at a time by `build_index`
 
 # Every byte but ASCII [a-z0-9] becomes a space. UTF-8 puts no ASCII byte inside
 # a multi-byte character, so the words left are the text's `[a-z0-9]+` runs.
@@ -133,13 +136,15 @@ def build_index(
         doc_texts.append(text)
         doc_lengths.append(len(tokens))
         token_ids.extend(map(term_ids.__getitem__, tokens))
+    del seen
     n = len(doc_ids)
     avgdl = sum(doc_lengths) / n if n else 0.0
     id_terms = [term.decode("ascii") for term in term_ids]
+    del term_ids
     terms = {term: row for row, term in enumerate(sorted(id_terms))}
-    # One in-place sort of the (term row, document) keys puts the postings in CSR
-    # order, each row's documents ascending. Each run of equal keys is a posting,
-    # and the run's length its tf. Each large temporary is made once, in place.
+    # One in-place sort of the (term row, document) keys puts the postings in CSR order,
+    # each row's documents ascending. Each run of equal keys is a posting, and the run's
+    # length its tf. Each large temporary is made once, in place, and dropped after use.
     keys = np.frombuffer(token_ids, np.int64)
     del token_ids  # the view keeps the buffer alive
     np.take(_ranks(id_terms) * n, keys, out=keys, mode="clip")  # "raise" would copy `out`
@@ -149,25 +154,34 @@ def build_index(
     new[[0, -1]] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:-1])
     keys = keys[new[:-1]]
-    tf = np.diff(np.flatnonzero(new))
     offsets = keys.searchsorted(np.arange(len(terms) + 1) * n)
     keys %= n
     positions = keys.astype(np.int32)
-    del keys, new
-    df = np.diff(offsets)
-    idf = [math.log((n - d + 0.5) / (d + 0.5) + 1.0) for d in df.tolist()]
-    # The scalar formula's operations in its order: every float is bit-identical.
+    del keys
+    starts = np.flatnonzero(new)
+    del new
+    tf = np.empty(len(positions), dtype=np.int32)  # a tf never exceeds its document's length
+    np.subtract(starts[1:], starts[:-1], out=tf, casting="unsafe")
+    del starts
+    idf = np.array([math.log((n - d + 0.5) / (d + 0.5) + 1.0) for d in np.diff(offsets).tolist()])
+    lengths = np.array(doc_lengths, dtype=np.float64)
+    # The scalar formula's operations in its order, a slice of postings at a time:
+    # every float is bit-identical, and one slice's temporaries are live at once.
     k1, b = params.k1, params.b
-    norm = np.array(doc_lengths, dtype=np.float64)[positions]
-    norm *= b
-    norm /= avgdl
-    norm += 1.0 - b
-    norm *= k1
-    norm += tf
-    scores = np.repeat(np.array(idf, dtype=np.float64), df)
-    scores *= tf
-    scores *= k1 + 1.0
-    scores /= norm
+    scores = np.empty(len(positions), dtype=np.float64)
+    for lo in range(0, len(scores), _SCORE_SLICE):
+        hi = min(lo + _SCORE_SLICE, len(scores))
+        norm = lengths[positions[lo:hi]]
+        norm *= b
+        norm /= avgdl
+        norm += 1.0 - b
+        norm *= k1
+        norm += tf[lo:hi]
+        top, end = offsets.searchsorted([lo, hi - 1], "right") - 1  # the slice's first, last row
+        per_row = np.diff(offsets[top:end + 2].clip(lo, hi))  # each row's postings in the slice
+        out = np.multiply(np.repeat(idf[top:end + 1], per_row), tf[lo:hi], out=scores[lo:hi])
+        out *= k1 + 1.0
+        out /= norm
     return Corpus(corpus_id, params, tuple(doc_ids), tuple(doc_texts), avgdl, terms,
                   offsets, positions, scores, _ranks(doc_ids))
 
@@ -312,7 +326,7 @@ def load_index(path) -> Corpus:
     if bounds[0] != 0 or bounds[-1] != len(data) - texts_at or np.any(np.diff(bounds) < 0):
         raise IndexFormatError(f"{path}: text bounds do not split the text section's bytes")
     if (offsets[0] != 0 or offsets[-1] != n_postings or np.any(np.diff(offsets) < 0)
-            or np.any((positions < 0) | (positions >= len(doc_rank)))):
+            or n_postings and not 0 <= positions.min() <= positions.max() < len(doc_rank)):
         raise IndexFormatError(f"{path}: offsets or positions out of range")
     texts = _MappedTexts(path, bounds, memoryview(data)[texts_at:])
     return Corpus(*fields, texts, avgdl, terms, offsets, positions, scores, doc_rank)

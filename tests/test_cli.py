@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import dataclasses
+import gc
 import inspect
 import json
 import math
@@ -10,6 +11,7 @@ import os
 import shutil
 import sys
 import threading
+import weakref
 import zlib
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from criticplan import cli, records
+from criticplan import cli, mcts, records
 from criticplan import config as config_mod
 from criticplan.cli import load_problems, main
 from criticplan.config import load_engine_config
@@ -262,6 +264,7 @@ class TestOutputFiles:
             run_cli(runner, config, *command.split())
         target = tmp_path / relative
         before = target.read_bytes()
+        pair_files = {path: path.read_bytes() for path in (tmp_path / "pairs").glob("*.jsonl")}
         # New text changes the index too, so a kept file is the previous one.
         (tmp_path / "corpus" / "extra.txt").write_text("new words " * 500, encoding="utf-8")
         if fault == "rename fails":
@@ -293,6 +296,9 @@ class TestOutputFiles:
         assert str(result.exception).startswith(f"{target}: ")
         assert target.read_bytes() == before
         assert not list(target.parent.glob(".*.tmp"))
+        if output == "tree":  # a failed tree write fails the command, not one problem
+            assert "skipped" not in result.output
+            assert {path: path.read_bytes() for path in pair_files} == pair_files
 
     # A directory where the output file goes: its write fails and names it.
     @pytest.mark.parametrize("relative, commands", [
@@ -657,6 +663,27 @@ class TestCollectCommand:
             body_b = (tmp_path / "parallel" / "pairs" / name).read_text().splitlines()[1:]
             assert body_a == body_b
 
+
+    def test_finished_tree_is_garbage_before_the_next_search(self, runner, tmp_path, monkeypatch):
+        class Tracked(mcts.TreeNode):  # TreeNode's own slots take no weak reference
+            __slots__ = ("__weakref__",)
+
+        roots = []
+        run_mcts = mcts.run_mcts
+
+        def run_after_checking_earlier_roots(*args, **kwargs):
+            gc.collect()
+            assert [ref() for ref in roots] == [None] * len(roots)
+            root = run_mcts(*args, **kwargs)
+            roots.append(weakref.ref(root))
+            return root
+
+        monkeypatch.setattr(mcts, "TreeNode", Tracked)
+        monkeypatch.setattr(mcts, "run_mcts", run_after_checking_earlier_roots)
+        config = mixed_suite(tmp_path)
+        run_cli(runner, config, "index")
+        run_cli(runner, config, "--parallel", "1", "collect")
+        assert len(roots) == 8
 
     def test_rerun_replaces_pair_files(self, runner, tmp_path):
         toy = reasoning_toy(3)

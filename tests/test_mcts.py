@@ -532,6 +532,33 @@ class TestReproducibility:
             assert body_a == body_b
 
 
+class TestDeepTrees:
+    """A chain deeper than the recursion limit, each level with a leaf after its chain child."""
+
+    @staticmethod
+    def _comb(problem, depth=2000):
+        root = node = TreeNode(root_state(problem))
+        chain, leaves = [root], []
+        for _ in range(depth):
+            child, leaf = TreeNode(root.state, parent=node), TreeNode(root.state, parent=node)
+            node.children += [child, leaf]
+            chain.append(child)
+            leaves.append(leaf)
+            node = child
+        return root, chain, leaves
+
+    def test_walk_is_preorder_at_any_depth(self, problem):
+        root, chain, leaves = self._comb(problem)
+        assert list(root.walk()) == chain + leaves[::-1]
+
+    def test_deep_tree_is_mined_and_dumped(self, tmp_path, problem):
+        root, chain, leaves = self._comb(problem)
+        assert extract_pairs(root) == {kind: [] for kind in CriticKind}  # no node visited
+        dump_tree(root, tmp_path / "tree.jsonl")
+        lines = (tmp_path / "tree.jsonl").read_text().splitlines()
+        assert len(lines) == 1 + len(chain) + len(leaves)
+
+
 class TestDumpTree:
     def test_dump_format(self, tmp_path, problem):
         root = run_mcts(problem, constant_backend(), ConstantOracle(0.5), toy_config(iterations=4))
