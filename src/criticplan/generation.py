@@ -336,7 +336,7 @@ def post_json(url: str, payload: dict, timeout: float, attempts: int, what: str)
     """
     body = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(url, data=body, headers={"Content-Type": "application/json"})
-    last_error: Exception | None = None
+    last_error = ""
     for _ in range(attempts):
         try:
             with urllib.request.urlopen(request, timeout=timeout) as response:
@@ -344,14 +344,14 @@ def post_json(url: str, payload: dict, timeout: float, attempts: int, what: str)
         except (OSError, http.client.HTTPException, ValueError) as err:
             if isinstance(err, urllib.error.HTTPError):
                 err.close()  # an error reply holds its socket open until closed
-            last_error = err
+            last_error = str(err)  # a kept exception's traceback would pin the callers' frames
             continue
         if not isinstance(data, dict):
             raise BackendError(
                 f"{what} endpoint replied with a JSON {type(data).__name__}, not an object"
             )
         return data
-    raise BackendError(f"{what} endpoint failed: {last_error}") from last_error
+    raise BackendError(f"{what} endpoint failed: {last_error}")
 
 
 @dataclass(frozen=True)

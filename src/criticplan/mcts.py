@@ -18,7 +18,7 @@ Each iteration runs the four classic phases:
                       as its parent did. `conclude` is deterministic per prompt
                       and the oracle is pure, so the run asks each distinct
                       conclusion and judges each distinct answer once.
-    Backpropagation:  add the reward and a visit to every node on the path.
+    Backpropagation:  add the reward and a visit to every node on the selected path.
 
 The finished tree is mined for preference pairs: within every sibling group,
 the child with the best mean value is chosen and every strictly worse sibling
@@ -91,13 +91,12 @@ class CheckerOracle:
 
 
 class TreeNode:
-    """Search-tree node carrying cumulative reward `v` and visit count `n`."""
+    """Search-tree node with reward sum `v` and visit count `n`; it links to its children only."""
 
-    __slots__ = ("state", "parent", "children", "v", "n", "sim_count", "reward", "pending", "dead")
+    __slots__ = ("state", "children", "v", "n", "sim_count", "reward", "pending", "dead")
 
-    def __init__(self, state: State, parent: "TreeNode | None" = None):
+    def __init__(self, state: State):
         self.state = state
-        self.parent = parent
         self.children: list[TreeNode] = []
         self.v = 0.0
         self.n = 0
@@ -186,7 +185,7 @@ def run_mcts(
             _run_iteration(root, generator, judge, cfg, corpus, detector)
         except BackendError as err:
             aborted += 1
-            last_error = err
+            last_error = str(err)  # the exception's traceback would keep the tree alive
             continue
         if iteration_hook is not None:
             iteration_hook(root, i)
@@ -206,7 +205,8 @@ def _run_iteration(
     corpus: retrieval.Corpus | None,
     detector: AnswerDetector,
 ) -> None:
-    node = select_path(root, cfg.exploration)[-1]
+    path = select_path(root, cfg.exploration)
+    node = path[-1]
     if not node.dead and not is_terminal(node.state, detector):
         if node.pending is None:
             # With nothing to execute the node becomes a dead end that is
@@ -218,19 +218,19 @@ def _run_iteration(
             node.pending = deque(action_space(state, candidates))
         if node.pending:
             action = node.pending.popleft()
-            child = TreeNode(state=apply(node.state, action), parent=node)
+            child = TreeNode(state=apply(node.state, action))
             try:
                 reward_value = _simulate(child, generator, judge)
             except BackendError:
                 node.pending.appendleft(action)
                 raise
             node.children.append(child)
-            _backpropagate(child, reward_value)
+            path.append(child)
+            _backpropagate(path, reward_value)
             return
         if not node.children:
             node.dead = True
-    reward_value = _simulate(node, generator, judge)
-    _backpropagate(node, reward_value)
+    _backpropagate(path, _simulate(node, generator, judge))
 
 
 def _simulate(node: TreeNode, generator: GeneratorBackend, judge: Callable[[str], float]) -> float:
@@ -240,12 +240,10 @@ def _simulate(node: TreeNode, generator: GeneratorBackend, judge: Callable[[str]
     return node.reward
 
 
-def _backpropagate(node: TreeNode, reward_value: float) -> None:
-    current: TreeNode | None = node
-    while current is not None:
-        current.n += 1
-        current.v += reward_value
-        current = current.parent
+def _backpropagate(path: list[TreeNode], reward_value: float) -> None:
+    for node in path:
+        node.n += 1
+        node.v += reward_value
 
 
 # ------------------------------------------------------------ pair extraction
@@ -295,13 +293,13 @@ def extract_pairs(root: TreeNode) -> dict[CriticKind, list[PreferencePair]]:
 def dump_tree(root: TreeNode, path) -> None:
     """Write one JSON line per node (preorder ids) after a timestamp header."""
     digest = functools.cache(text_digest)  # siblings and repeats share texts
-    ids: dict[int, int] = {}
+    parent_ids: dict[int, int] = {}  # id(child) -> preorder id of its parent
     nodes = []
     for node_id, node in enumerate(root.walk()):
-        ids[id(node)] = node_id
+        parent_ids.update((id(child), node_id) for child in node.children)
         nodes.append({
             "node": node_id,
-            "parent": ids[id(node.parent)] if node.parent is not None else None,
+            "parent": parent_ids.pop(id(node), None),
             "kind": node.observation.kind.value if node.observation else "root",
             "digest": digest(node.observation.text) if node.observation else "",
             "v": node.v,

@@ -685,6 +685,30 @@ class TestCollectCommand:
         run_cli(runner, config, "--parallel", "1", "collect")
         assert len(roots) == 8
 
+    def test_finished_tree_is_freed_without_gc(self, runner, tmp_path, monkeypatch):
+        class Tracked(mcts.TreeNode):  # TreeNode's own slots take no weak reference
+            __slots__ = ("__weakref__",)
+
+        roots = []
+        run_mcts = mcts.run_mcts
+
+        def run_after_checking_earlier_roots(*args, **kwargs):
+            assert [ref() for ref in roots] == [None] * len(roots)
+            root = run_mcts(*args, **kwargs)
+            roots.append(weakref.ref(root))
+            return root
+
+        monkeypatch.setattr(mcts, "TreeNode", Tracked)
+        monkeypatch.setattr(mcts, "run_mcts", run_after_checking_earlier_roots)
+        config = mixed_suite(tmp_path)
+        run_cli(runner, config, "index")
+        gc.disable()
+        try:
+            run_cli(runner, config, "--parallel", "1", "collect")
+        finally:
+            gc.enable()
+        assert len(roots) == 8
+
     def test_rerun_replaces_pair_files(self, runner, tmp_path):
         toy = reasoning_toy(3)
         config = write_workspace(tmp_path, toy.problems, toy.sample_rules, toy.conclude_rules)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import contextlib
 import gc
 import json
 import threading
 import warnings
+import weakref
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -422,6 +424,26 @@ class TestRetries:
                     post_json(url, {}, 2.0, 3, "generator")
                 gc.collect()
         assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+    def test_failed_attempts_keep_no_caller_frame(self):
+        # A kept exception's traceback would hold the calling frames, and all
+        # they reference (a search tree), until a full garbage collection.
+        class Held:
+            pass
+
+        def call(url):
+            held = Held()
+            with contextlib.suppress(BackendError):
+                post_json(url, {}, 2.0, 2, "generator")
+            return weakref.ref(held)
+
+        gc.disable()
+        try:
+            with serve_fixed_reply("{}", fail_first=1) as url:
+                assert call(url)() is None  # answered on its retry
+            assert call("http://127.0.0.1:1/")() is None  # refused on both attempts
+        finally:
+            gc.enable()
 
 
 class TestCandidatesFor:

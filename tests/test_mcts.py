@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import gc
+import json
 import math
 import random
+import weakref
 from collections import Counter, deque
 from decimal import Decimal, getcontext
 
 import pytest
 
+from criticplan import mcts
 from criticplan.critics import CriticKind
 from criticplan.errors import BackendError, ContractViolationError, SearchRunError
 from criticplan.generation import (
+    HttpGeneratorBackend,
     SamplingConfig,
     ScriptedBackend,
     ScriptedRule,
@@ -39,7 +44,7 @@ from criticplan.mdp import (
 from criticplan.critics import export_pairs
 from criticplan.retrieval import build_index
 from tests._toys import GOOD_PHRASE, lookup_toy, reasoning_toy
-from tests.conftest import SampleCountingBackend, advance_subgoal, rationale
+from tests.conftest import SampleCountingBackend, advance_subgoal, rationale, serve_fixed_reply
 
 
 def reference_ucb1(v, n, parent_n, c):
@@ -135,7 +140,7 @@ class TestRunMcts:
             problem, constant_backend(), ConstantOracle(1.0), toy_config(iterations=12),
             iteration_hook=snapshot,
         )
-        nodes = {id(n): n for n in root.walk()}
+        parent_of = {id(child): id(node) for node in root.walk() for child in node.children}
         for before, after in zip(snapshots, snapshots[1:]):
             changed = {
                 node_id for node_id, stats in after.items()
@@ -148,10 +153,10 @@ class TestRunMcts:
             assert len(simulated) == 1
             # The changed set is exactly the simulated node's ancestor chain.
             chain = set()
-            cursor = nodes[simulated[0]]
+            cursor = simulated[0]
             while cursor is not None:
-                chain.add(id(cursor))
-                cursor = cursor.parent
+                chain.add(cursor)
+                cursor = parent_of.get(cursor)
             assert changed == chain
 
     def test_aborts_over_quarter_fail_the_run(self, problem):
@@ -373,7 +378,7 @@ class TestSelectionEquivalence:
             if level == depth:
                 return
             for i in range(rng.randint(2, branching)):
-                child = TreeNode(state=base, parent=node)
+                child = TreeNode(state=base)
                 child.n = rng.randint(1, 50)
                 child.v = rng.uniform(0, child.n)
                 node.children.append(child)
@@ -459,7 +464,7 @@ def frozen_sibling_group(problem, stats):
     parent.pending = deque()
     for i, (v, n) in enumerate(stats):
         obs = rationale(f"candidate {i}")
-        child = TreeNode(state=apply(state, ChooseCandidate(i, obs)), parent=parent)
+        child = TreeNode(state=apply(state, ChooseCandidate(i, obs)))
         child.v, child.n = v, n
         child.sim_count = n
         parent.children.append(child)
@@ -540,7 +545,7 @@ class TestDeepTrees:
         root = node = TreeNode(root_state(problem))
         chain, leaves = [root], []
         for _ in range(depth):
-            child, leaf = TreeNode(root.state, parent=node), TreeNode(root.state, parent=node)
+            child, leaf = TreeNode(root.state), TreeNode(root.state)
             node.children += [child, leaf]
             chain.append(child)
             leaves.append(leaf)
@@ -557,6 +562,18 @@ class TestDeepTrees:
         dump_tree(root, tmp_path / "tree.jsonl")
         lines = (tmp_path / "tree.jsonl").read_text().splitlines()
         assert len(lines) == 1 + len(chain) + len(leaves)
+        assert_parent_ids(root, [json.loads(line) for line in lines[1:]])
+
+
+def assert_parent_ids(root, records):
+    """Each dumped node's parent is the preorder id of the node whose children hold it."""
+    preorder = list(root.walk())
+    node_ids = {id(node): i for i, node in enumerate(preorder)}
+    parents = {
+        node_ids[id(child)]: i for i, node in enumerate(preorder) for child in node.children
+    }
+    assert records[0]["parent"] is None
+    assert [r["parent"] for r in records[1:]] == [parents[r["node"]] for r in records[1:]]
 
 
 class TestDumpTree:
@@ -564,7 +581,6 @@ class TestDumpTree:
         root = run_mcts(problem, constant_backend(), ConstantOracle(0.5), toy_config(iterations=4))
         path = tmp_path / "tree.jsonl"
         dump_tree(root, path)
-        import json
 
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
@@ -573,3 +589,54 @@ class TestDumpTree:
         assert records[0]["parent"] is None
         assert records[0]["kind"] == "root"
         assert {r["node"] for r in records} == set(range(len(records)))
+        assert_parent_ids(root, records)
+
+
+class TestTreeIsFreedWithoutGc:
+    """A finished tree holds no reference cycle, so dropping its root frees it."""
+
+    @pytest.fixture(autouse=True)
+    def gc_disabled(self, monkeypatch):
+        class Tracked(mcts.TreeNode):  # TreeNode's own slots take no weak reference
+            __slots__ = ("__weakref__",)
+
+        monkeypatch.setattr(mcts, "TreeNode", Tracked)
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_clean_run(self):
+        root, _ = run_reasoning_toy(lambda inner: inner)
+        ref = weakref.ref(root)
+        del root
+        assert ref() is None
+
+    def test_run_with_aborted_iterations(self):
+        class EverySeventhConcludeFails(CountingConcludeBackend):
+            failures = 0
+
+            def conclude(self, prompt):
+                reply = super().conclude(prompt)
+                if self.conclude_calls % 7 == 0:
+                    self.failures += 1
+                    raise BackendError("transient")
+                return reply
+
+        root, backend = run_reasoning_toy(EverySeventhConcludeFails)
+        assert 0 < backend.failures <= mcts.MAX_ABORT_FRACTION * 64
+        ref = weakref.ref(root)
+        del root
+        assert ref() is None
+
+    def test_run_with_retried_requests(self):
+        # The first request fails both attempts (an aborted iteration), the
+        # second succeeds on its retry.
+        toy, statuses, reply = reasoning_toy(1), [], '{"candidates": ["a", "b"]}'
+        cfg = MctsConfig(iterations=8, horizon=toy.horizon)
+        with serve_fixed_reply(reply, fail_first=3, statuses=statuses) as url:
+            root = run_mcts(toy.problems[0], HttpGeneratorBackend(url, retries=1),
+                            ConstantOracle(0.5), cfg)
+        assert statuses[:4] == [503, 503, 503, 200]
+        ref = weakref.ref(root)
+        del root
+        assert ref() is None
