@@ -75,29 +75,11 @@ class CriticBackend(Protocol):
 
     The paper's critics are fine-tuned reward models, so the same
     `CriticContext` always gets the same score. `solve` and
-    `solve_for_ranking` rely on it: each wraps the critics in
-    `MemoizedCritic`s for one problem, so a repeated context is scored once.
+    `solve_for_ranking` rely on it: each wraps every critic in
+    `generation.memoized` for one problem, so a repeated context is scored once.
     """
 
     def score(self, ctx: CriticContext) -> float: ...
-
-
-class MemoizedCritic:
-    """A critic that sends each distinct context to `backend` once.
-
-    Scores are kept per (frozen, hashable) context for the life of the wrapper,
-    which is one problem. A failed request is not kept.
-    """
-
-    def __init__(self, backend: CriticBackend):
-        self.backend = backend
-        self._scores: dict[CriticContext, float] = {}
-
-    def score(self, ctx: CriticContext) -> float:
-        score = self._scores.get(ctx)
-        if score is None:
-            score = self._scores[ctx] = self.backend.score(ctx)
-        return score
 
 
 def build_context(state: State, kind: CriticKind, candidate: Observation) -> CriticContext:

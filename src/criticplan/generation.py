@@ -15,7 +15,8 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Protocol, Sequence
+from types import SimpleNamespace
+from typing import Protocol
 
 from . import records, retrieval
 from .errors import (
@@ -53,8 +54,8 @@ class GeneratorBackend(Protocol):
     (and k and temperature) gets the same reply, as a scripted rule table or a
     seeded model server gives (the CLI always sends an HTTP generator a seed).
     `run_mcts`, `solve` and `solve_for_ranking` rely on it: each wraps the
-    backend in a `MemoizedGenerator` for one problem, so a repeated `sample`
-    or `conclude` is answered from memory, as MCTS's sub-goal nodes are. The
+    backend in `memoized` for one problem, so a repeated `sample` or
+    `conclude` is answered from memory, as MCTS's sub-goal nodes are. The
     operations here call a backend once and do not retry a `BackendError`; a
     backend with transient failures retries inside itself
     (`HttpGeneratorBackend.retries`).
@@ -148,16 +149,6 @@ def _strip_delimiters(text: str, begin: str, end: str) -> str:
     return stripped.strip()
 
 
-def _dedup(texts: Sequence[str]) -> list[str]:
-    seen: set[str] = set()
-    out = []
-    for t in texts:
-        if t and t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
-
-
 def _sample_observations(
     state: State,
     backend: GeneratorBackend,
@@ -169,7 +160,8 @@ def _sample_observations(
 ) -> list[Observation]:
     prompt = render(state)
     raw = backend.sample(prompt, cfg.k, cfg.temperature)
-    texts = _dedup([_strip_delimiters(t, begin, end) for t in raw])
+    stripped = (_strip_delimiters(t, begin, end) for t in raw)
+    texts = list(dict.fromkeys(t for t in stripped if t))  # distinct, in first-seen order
     if not texts:
         raise EmptyCandidatesError(f"no usable {kind.value} candidates after stripping")
     return [Observation(kind=kind, text=t) for t in texts[: cfg.k]]
@@ -231,30 +223,17 @@ def conclude(state: State, backend: GeneratorBackend) -> str:
     return backend.conclude(render_conclusion_prompt(state))
 
 
-class MemoizedGenerator:
-    """A generator that sends each distinct request to `backend` once.
+def memoized(backend, *methods: str) -> SimpleNamespace:
+    """`backend`'s named methods, each answered from a `functools.cache`.
 
-    `sample` replies are kept per (prompt, k, temperature) and `conclude`
-    replies per prompt, for the life of the wrapper, which is one problem;
-    samples are handed out as fresh lists. A failed request is not kept, so
-    the next identical request is sent again.
+    Each distinct request reaches `backend` once for the life of the memo,
+    which is one problem: `sample` is keyed on (prompt, k, temperature),
+    `conclude` on the prompt and a critic's `score` on the whole
+    `CriticContext`. A call that raises is not kept, so the next identical
+    request is sent again. A repeated `sample` returns the backend's own reply
+    list, not a copy; no caller mutates it.
     """
-
-    def __init__(self, backend: GeneratorBackend):
-        self.backend = backend
-        self._samples: dict[tuple[str, int, float], tuple[str, ...]] = {}
-        self._conclusions: dict[str, str] = {}
-
-    def sample(self, prompt: str, k: int, temperature: float) -> list[str]:
-        key = (prompt, k, temperature)
-        if key not in self._samples:
-            self._samples[key] = tuple(self.backend.sample(prompt, k, temperature))
-        return list(self._samples[key])
-
-    def conclude(self, prompt: str) -> str:
-        if prompt not in self._conclusions:
-            self._conclusions[prompt] = self.backend.conclude(prompt)
-        return self._conclusions[prompt]
+    return SimpleNamespace(**{name: functools.cache(getattr(backend, name)) for name in methods})
 
 
 # --------------------------------------------------------------------- backends

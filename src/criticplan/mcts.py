@@ -173,10 +173,10 @@ def run_mcts(
     failure, once more than a quarter of all iterations aborted.
     `iteration_hook(root, i)` is invoked after each completed iteration
     (invariant checks, progress reporting).
-    `generator` is wrapped in a `MemoizedGenerator` for this run, and
+    `generator` is wrapped in `generation.memoized` for this run, and
     `oracle` judges each distinct answer once; a failed judgement is not kept.
     """
-    generator = generation.MemoizedGenerator(generator)
+    generator = generation.memoized(generator, "sample", "conclude")
     judge = functools.cache(lambda answer: oracle.evaluate(problem, answer))
     root = TreeNode(state=root_state(problem, horizon=cfg.horizon))
     aborted = 0

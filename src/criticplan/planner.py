@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Callable, Iterable, Mapping
 
 from . import generation, records, retrieval
-from .critics import CriticBackend, CriticKind, MemoizedCritic, critic_kind_for, reward
+from .critics import CriticBackend, CriticKind, critic_kind_for, reward
 from .errors import ContractViolationError, EmptyQueryError, PlanningFailureError
 from .generation import GeneratorBackend, SamplingConfig
 from .mdp import (
@@ -119,8 +119,8 @@ class _Loop:
 
     @classmethod
     def for_problem(cls, critics, generator, corpus, cfg, executor: Executor | None) -> "_Loop":
-        return cls(critics={kind: MemoizedCritic(c) for kind, c in critics.items()},
-                   generator=generation.MemoizedGenerator(generator),
+        return cls(critics={kind: generation.memoized(c, "score") for kind, c in critics.items()},
+                   generator=generation.memoized(generator, "sample", "conclude"),
                    corpus=corpus, cfg=cfg, map=executor.map if executor else map)
 
     def decide(self, state: State, actions: list[Action]) -> tuple[int, list[float]]:

@@ -26,6 +26,7 @@ from criticplan.generation import (
     candidates_for,
     conclude,
     load_template,
+    memoized,
     post_json,
     render_conclusion_prompt,
     render_query_prompt,
@@ -33,7 +34,16 @@ from criticplan.generation import (
     sample_queries,
     sample_rationales,
 )
-from criticplan.mdp import ObservationKind, State, SubGoal, action_space, apply, root_state
+from criticplan.critics import CriticContext, CriticKind
+from criticplan.mdp import (
+    Observation,
+    ObservationKind,
+    State,
+    SubGoal,
+    action_space,
+    apply,
+    root_state,
+)
 from criticplan.retrieval import build_index
 from tests.conftest import (
     advance_candidate,
@@ -444,6 +454,80 @@ class TestRetries:
             assert call("http://127.0.0.1:1/")() is None  # refused on both attempts
         finally:
             gc.enable()
+
+
+class RecordingBackend:
+    """A generator and critic in one that logs each request; the first `failures` raise."""
+
+    def __init__(self, failures: int = 0):
+        self.failures = failures
+        self.seen = []
+
+    def _reply(self, request, reply):
+        self.seen.append(request)
+        if len(self.seen) <= self.failures:
+            raise BackendError("transient")
+        return reply
+
+    def sample(self, prompt, k, temperature):
+        return self._reply(("sample", prompt, k, temperature), [prompt] * k)
+
+    def conclude(self, prompt):
+        return self._reply(("conclude", prompt), prompt.upper())
+
+    def score(self, ctx):
+        return self._reply(("score", ctx.candidate.text), float(len(ctx.candidate.text)))
+
+
+def critic_context(text: str) -> CriticContext:
+    return CriticContext(kind=CriticKind.RATIONALE, problem_statement="p",
+                         context_observations=(),
+                         candidate=Observation(kind=ObservationKind.RATIONALE, text=text))
+
+
+class TestMemoized:
+    METHODS = ("sample", "conclude", "score")
+
+    def test_each_distinct_request_reaches_the_backend_once(self):
+        backend = RecordingBackend()
+        memo = memoized(backend, *self.METHODS)
+        for _ in range(3):
+            assert memo.sample("p", 2, 0.7) == ["p", "p"]
+            assert memo.sample("p", 3, 0.7) == ["p"] * 3
+            memo.sample("p", 2, 0.0)
+            memo.sample("q", 2, 0.7)
+            assert memo.conclude("p") == "P"
+            memo.conclude("q")
+            # An equal context built afresh is the same request.
+            assert memo.score(critic_context("ab")) == 2.0
+            memo.score(critic_context("abc"))
+        assert backend.seen == [
+            ("sample", "p", 2, 0.7), ("sample", "p", 3, 0.7), ("sample", "p", 2, 0.0),
+            ("sample", "q", 2, 0.7), ("conclude", "p"), ("conclude", "q"),
+            ("score", "ab"), ("score", "abc"),
+        ]
+
+    @pytest.mark.parametrize("method, args", [
+        ("sample", ("p", 2, 0.7)),
+        ("conclude", ("p",)),
+        ("score", (critic_context("ab"),)),
+    ])
+    def test_a_failed_request_is_sent_again(self, method, args):
+        backend = RecordingBackend(failures=1)
+        call = getattr(memoized(backend, method), method)
+        with pytest.raises(BackendError):
+            call(*args)
+        reply = call(*args)
+        assert call(*args) == reply
+        assert len(backend.seen) == 2
+
+    def test_two_memos_over_one_backend_share_nothing(self):
+        backend = RecordingBackend()
+        for memo in (memoized(backend, *self.METHODS), memoized(backend, *self.METHODS)):
+            memo.sample("p", 2, 0.7)
+            memo.conclude("p")
+            memo.score(critic_context("ab"))
+        assert backend.seen == [("sample", "p", 2, 0.7), ("conclude", "p"), ("score", "ab")] * 2
 
 
 class TestCandidatesFor:
